@@ -2,6 +2,7 @@
 
 from .model import (
     DomainError,
+    LatentTarget,
     ModelParams,
     ObservedSeries,
     PhaseState,

@@ -13,7 +13,7 @@ import numpy as np
 from . import model
 from .gibbs import PriorConfig, gibbs_sweep
 from .integrators import TrajectoryConfig, integrate
-from .model import DomainError, ModelParams, ObservedSeries, PhaseState
+from .model import ModelParams, ObservedSeries, PhaseState
 
 PARAM_NAMES = ("phi", "mu", "xi", "sigma_eta2", "sigma_u2")
 
@@ -34,19 +34,22 @@ def hmc_update(
 ) -> HmcOutcome:
     """One HMC update of the latent path: refresh momenta, integrate, accept/reject.
 
-    A trajectory that leaves float64 range counts as delta_h = +inf and is
-    rejected.
+    A trajectory that leaves float64 range (a non-finite change in H) counts
+    as a divergence: delta_h = +inf, rejected. ``h`` is never modified.
     """
+    h = model._as_path(h)
+    model._check_match(h, data)
     p = rng.standard_normal(len(h))
-    start = PhaseState(h, p)
-    try:
-        h0 = model.hamiltonian(start, theta, data)
-        end = integrate(start, cfg, lambda x: model.grad_potential(x, theta, data))
-        h1 = model.hamiltonian(end, theta, data)
-        delta_h = h1 - h0
-    except DomainError:
+    target = model.LatentTarget(theta, data)
+    g = np.empty(len(h))
+    # overflow only shows up as a non-finite delta_h, checked once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = target.potential(h) + 0.5 * float(p @ p)
+        end = integrate(PhaseState(h, p), cfg, lambda x: target.grad_into(x, g))
+        delta_h = target.potential(end.h) + 0.5 * float(end.p @ end.p) - h0
+    if not math.isfinite(delta_h):
+        # a divergence returns before the uniform is drawn
         return HmcOutcome(h, math.inf, False)
-    # the uniform is always drawn so the rng stream does not depend on delta_h
     u = rng.uniform()
     if delta_h <= 0.0 or u < math.exp(-delta_h):
         return HmcOutcome(end.h, delta_h, True)

@@ -10,12 +10,14 @@ Two reversible, volume-preserving schemes:
 
 T-stages advance positions by momenta, V-stages kick momenta by the
 (negative) force. The force evaluator returns dV/dh, so kicks subtract.
+Each scheme is a table of (drift, kick) stages, after Omelyan, Mryglod &
+Folk, Comput. Phys. Commun. 151 (2003) 272.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,6 +50,15 @@ class Scheme(enum.Enum):
         return aliases[key]
 
 
+# One step of each scheme as (drift, kick) stages in units of the step size,
+# given lambda: drift h by drift * dt * p, then kick p by kick * dt * force.
+# A zero kick costs no force evaluation.
+SPLITTINGS = {
+    Scheme.LEAPFROG2: lambda lam: ((0.5, 1.0), (0.5, 0.0)),
+    Scheme.MINIMUM_NORM2: lambda lam: ((lam, 0.5), (1.0 - 2.0 * lam, 0.5), (lam, 0.0)),
+}
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     scheme: Scheme
@@ -68,8 +79,12 @@ class TrajectoryConfig:
         return self.step_size * self.n_steps
 
     @property
+    def stages(self) -> tuple[tuple[float, float], ...]:
+        return SPLITTINGS[self.scheme](self.lam)
+
+    @property
     def force_evals_per_step(self) -> int:
-        return 2 if self.scheme is Scheme.MINIMUM_NORM2 else 1
+        return sum(1 for _, kick in self.stages if kick)
 
     @classmethod
     def from_length(
@@ -88,49 +103,29 @@ class TrajectoryConfig:
 
 def leapfrog_step(state: PhaseState, step_size: float, force: Force) -> PhaseState:
     """One leapfrog step: half drift, full kick, half drift."""
-    if step_size <= 0.0:
-        raise ValueError("step_size must be > 0")
-    h = state.h + 0.5 * step_size * state.p
-    p = state.p - step_size * force(h)
-    h = h + 0.5 * step_size * p
-    return PhaseState(h, p)
+    return integrate(state, TrajectoryConfig(Scheme.LEAPFROG2, step_size, 1), force)
 
 
 def minimum_norm_step(
     state: PhaseState, step_size: float, lam: float, force: Force
 ) -> PhaseState:
     """One minimum-norm step: the five-stage T-V-T-V-T splitting."""
-    if step_size <= 0.0:
-        raise ValueError("step_size must be > 0")
-    if not (0.0 < lam < 0.5):
-        raise ValueError(f"lambda must lie in (0, 0.5), got {lam}")
-    h = state.h + lam * step_size * state.p
-    p = state.p - 0.5 * step_size * force(h)
-    h = h + (1.0 - 2.0 * lam) * step_size * p
-    p = p - 0.5 * step_size * force(h)
-    h = h + lam * step_size * p
-    return PhaseState(h, p)
+    return integrate(state, TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 1, lam), force)
 
 
 def integrate(state: PhaseState, cfg: TrajectoryConfig, force: Force) -> PhaseState:
-    """Apply the configured step n_steps times and return the final state."""
-    current = state
-    if cfg.scheme is Scheme.LEAPFROG2:
-        for _ in range(cfg.n_steps):
-            current = leapfrog_step(current, cfg.step_size, force)
-    else:
-        for _ in range(cfg.n_steps):
-            current = minimum_norm_step(current, cfg.step_size, cfg.lam, force)
-    return current
+    """Apply the configured step n_steps times and return the final state.
 
-
-@dataclass
-class CountingForce:
-    """Wraps a force evaluator and counts calls (cost accounting in scans/tests)."""
-
-    force: Force
-    calls: int = field(default=0)
-
-    def __call__(self, h: np.ndarray) -> np.ndarray:
-        self.calls += 1
-        return self.force(h)
+    ``state`` is left unchanged. ``force`` may return a buffer it reuses, but
+    must not keep the position array it is given.
+    """
+    h, p = state.h.copy(), state.p.copy()
+    tmp = np.empty_like(h)
+    # drifts are not merged across steps, so n steps equal n one-step calls
+    stages = [(drift * cfg.step_size, kick * cfg.step_size) for drift, kick in cfg.stages]
+    for _ in range(cfg.n_steps):
+        for drift, kick in stages:
+            h += np.multiply(drift, p, out=tmp)
+            if kick:
+                p -= np.multiply(kick, force(h), out=tmp)
+    return PhaseState(h, p)

@@ -131,6 +131,75 @@ def _check_match(h: np.ndarray, data: ObservedSeries):
         raise ValueError(f"path length {len(h)} != series length {data.n}")
 
 
+class LatentTarget:
+    """The potential of :func:`potential` and its gradient at one theta.
+
+    Built once per theta, it holds the h-independent pieces of V and scratch
+    buffers reused from call to call. Its methods do not validate h: the
+    caller passes a float64 path of the series length and checks the result
+    for finiteness.
+    """
+
+    def __init__(self, theta: ModelParams, data: ObservedSeries):
+        n = data.n
+        self.half_y2 = 0.5 * data.y**2
+        self.ln_rv_xi = data.ln_rv - theta.xi
+        self.inv_su2 = 1.0 / theta.sigma_u2
+        self.inv_se2 = 1.0 / theta.sigma_eta2
+        self.phi = theta.phi
+        self.mu = theta.mu
+        self.drift = theta.mu * (1.0 - theta.phi)
+        self.stationary = (1.0 - theta.phi**2) / theta.sigma_eta2
+        self._site = np.empty(n)
+        self._tmp = np.empty(n)
+        self._resid = np.empty(n - 1)
+
+    def _return_terms(self, h: np.ndarray) -> np.ndarray:
+        """(y_t^2/2) e^{-h_t}, in a scratch buffer."""
+        e = np.negative(h, out=self._site)
+        np.exp(e, out=e)
+        e *= self.half_y2
+        return e
+
+    def _transitions(self, h: np.ndarray) -> np.ndarray:
+        """Residuals h_{t+1} - mu - phi (h_t - mu), in a scratch buffer."""
+        r = np.multiply(h[:-1], self.phi, out=self._resid)
+        np.subtract(h[1:], r, out=r)
+        r -= self.drift
+        return r
+
+    def _site_terms(self, h: np.ndarray) -> np.ndarray:
+        """Per-site return and measurement terms of V, in a scratch buffer."""
+        site = self._return_terms(h)
+        d = np.subtract(self.ln_rv_xi, h, out=self._tmp)
+        d *= d
+        d *= 0.5 * self.inv_su2
+        site += d
+        site += np.multiply(h, 0.5, out=self._tmp)
+        return site
+
+    def potential(self, h: np.ndarray) -> float:
+        """V(h) as defined in :func:`potential`."""
+        v = float(self._site_terms(h).sum())
+        r = self._transitions(h)
+        v += 0.5 * self.stationary * (h[0] - self.mu) ** 2
+        return v + 0.5 * self.inv_se2 * float(r @ r)
+
+    def grad_into(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write dV/dh into ``out`` and return it."""
+        np.subtract(0.5, self._return_terms(h), out=out)
+        d = np.subtract(self.ln_rv_xi, h, out=self._tmp)
+        d *= self.inv_su2
+        out -= d
+        out[0] += self.stationary * (h[0] - self.mu)
+        r = self._transitions(h)
+        r *= self.inv_se2
+        out[1:] += r
+        r *= self.phi
+        out[:-1] -= r
+        return out
+
+
 def potential(h, theta: ModelParams, data: ObservedSeries) -> float:
     """Negative log conditional posterior of h, up to an h-independent constant.
 
@@ -142,16 +211,10 @@ def potential(h, theta: ModelParams, data: ObservedSeries) -> float:
     h = _as_path(h)
     _check_match(h, data)
     _check_exp_range(h)
-    obs = 0.5 * h + 0.5 * data.y**2 * np.exp(-h)
-    meas = (data.ln_rv - theta.xi - h) ** 2 / (2.0 * theta.sigma_u2)
-    v = float(np.sum(obs) + np.sum(meas))
-    v += (1.0 - theta.phi**2) * (h[0] - theta.mu) ** 2 / (2.0 * theta.sigma_eta2)
-    if len(h) > 1:
-        r = h[1:] - theta.mu - theta.phi * (h[:-1] - theta.mu)
-        v += float(np.sum(r**2)) / (2.0 * theta.sigma_eta2)
+    target = LatentTarget(theta, data)
+    v = target.potential(h)
     if not math.isfinite(v):
-        per_t = obs + meas
-        bad = np.flatnonzero(~np.isfinite(per_t))
+        bad = np.flatnonzero(~np.isfinite(target._site_terms(h)))
         idx = int(bad[0]) if len(bad) else None
         raise DomainError("potential is non-finite", index=idx)
     return v
@@ -162,13 +225,7 @@ def grad_potential(h, theta: ModelParams, data: ObservedSeries) -> np.ndarray:
     h = _as_path(h)
     _check_match(h, data)
     _check_exp_range(h)
-    se2 = theta.sigma_eta2
-    g = 0.5 - 0.5 * data.y**2 * np.exp(-h) - (data.ln_rv - theta.xi - h) / theta.sigma_u2
-    g[0] += (1.0 - theta.phi**2) * (h[0] - theta.mu) / se2
-    if len(h) > 1:
-        r = h[1:] - theta.mu - theta.phi * (h[:-1] - theta.mu)
-        g[1:] += r / se2
-        g[:-1] -= theta.phi * r / se2
+    g = LatentTarget(theta, data).grad_into(h, np.empty(len(h)))
     if not np.all(np.isfinite(g)):
         idx = int(np.flatnonzero(~np.isfinite(g))[0])
         raise DomainError("gradient is non-finite", index=idx)
@@ -188,31 +245,15 @@ def hamiltonian(state: PhaseState, theta: ModelParams, data: ObservedSeries) -> 
 def joint_log_density(h, theta: ModelParams, data: ObservedSeries) -> float:
     """Exact log joint density of (y, ln RV, h), all constants included.
 
-    This is the fully normalized counterpart of ``-potential``; it is used
-    by sampler validation, never in the HMC hot loop.
+    This is ``-potential`` plus the Gaussian normalizers that V drops; it is
+    used by sampler validation, never in the HMC hot loop.
     """
-    h = _as_path(h)
-    _check_match(h, data)
-    _check_exp_range(h)
-    n = len(h)
+    n = data.n
     se2, su2 = theta.sigma_eta2, theta.sigma_u2
-    # returns: y_t ~ N(0, e^{h_t})
-    lp = -0.5 * n * _LOG_2PI - 0.5 * float(np.sum(h)) - 0.5 * float(
-        np.sum(data.y**2 * np.exp(-h))
-    )
-    # measurement: ln RV_t ~ N(xi + h_t, sigma_u2)
-    lp += -0.5 * n * (_LOG_2PI + math.log(su2)) - float(
-        np.sum((data.ln_rv - theta.xi - h) ** 2)
-    ) / (2.0 * su2)
+    # returns y_t ~ N(0, e^{h_t}) and measurements ln RV_t ~ N(xi + h_t, sigma_u2)
+    log_norm = 0.5 * n * (2.0 * _LOG_2PI + math.log(su2))
     # stationary h_1 ~ N(mu, sigma_eta2 / (1 - phi^2))
-    var1 = se2 / (1.0 - theta.phi**2)
-    lp += -0.5 * (_LOG_2PI + math.log(var1)) - (h[0] - theta.mu) ** 2 / (2.0 * var1)
+    log_norm += 0.5 * (_LOG_2PI + math.log(se2 / (1.0 - theta.phi**2)))
     # transitions h_{t+1} ~ N(mu + phi (h_t - mu), sigma_eta2)
-    if n > 1:
-        r = h[1:] - theta.mu - theta.phi * (h[:-1] - theta.mu)
-        lp += -0.5 * (n - 1) * (_LOG_2PI + math.log(se2)) - float(np.sum(r**2)) / (
-            2.0 * se2
-        )
-    if not math.isfinite(lp):
-        raise DomainError("joint log density is non-finite")
-    return lp
+    log_norm += 0.5 * (n - 1) * (_LOG_2PI + math.log(se2))
+    return -potential(h, theta, data) - log_norm

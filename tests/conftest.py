@@ -1,6 +1,9 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
+from rsvhmc.integrators import Force
 from rsvhmc.model import ModelParams, ObservedSeries
 
 
@@ -35,3 +38,15 @@ def fd_gradient(f, h, eps=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)
+
+
+@dataclass
+class CountingForce:
+    """Wraps a force evaluator and counts calls (cost accounting in tests)."""
+
+    force: Force
+    calls: int = field(default=0)
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        return self.force(h)

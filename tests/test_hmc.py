@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,33 @@ class TestHmcUpdate:
         assert not out.accepted
         assert out.delta_h == math.inf
         np.testing.assert_array_equal(out.h_new, ds.h_true)
+
+    def test_divergence_emits_no_warning(self):
+        ds = small_dataset()
+        cfg = TrajectoryConfig(Scheme.LEAPFROG2, 1e6, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hmc_update(ds.h_true, ds.theta_true, ds.data, cfg, np.random.default_rng(2))
+        assert out.delta_h == math.inf
+
+    @pytest.mark.parametrize("step_size,accepted", [(1e-6, True), (50.0, False)])
+    def test_input_path_is_not_modified(self, step_size, accepted):
+        ds = small_dataset()
+        cfg = TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 3)
+        h = ds.h_true.copy()
+        out = hmc_update(h, ds.theta_true, ds.data, cfg, np.random.default_rng(5))
+        assert out.accepted is accepted
+        np.testing.assert_array_equal(h, ds.h_true)
+
+    def test_accepted_path_survives_next_update(self):
+        ds = small_dataset()
+        cfg = TrajectoryConfig(Scheme.LEAPFROG2, 1e-3, 4)
+        rng = np.random.default_rng(6)
+        first = hmc_update(ds.h_true, ds.theta_true, ds.data, cfg, rng)
+        assert first.accepted
+        kept = first.h_new.copy()
+        hmc_update(first.h_new, ds.theta_true, ds.data, cfg, rng)
+        np.testing.assert_array_equal(first.h_new, kept)
 
     def test_energy_identity_in_equilibrium(self):
         # <exp(-delta H)> = 1 for a reversible volume-preserving proposal

@@ -5,7 +5,6 @@ import pytest
 
 from rsvhmc.integrators import (
     DEFAULT_LAMBDA,
-    CountingForce,
     Scheme,
     TrajectoryConfig,
     integrate,
@@ -14,7 +13,7 @@ from rsvhmc.integrators import (
 )
 from rsvhmc.model import PhaseState, grad_potential, hamiltonian
 
-from conftest import random_instance
+from conftest import CountingForce, random_instance
 
 
 def harmonic_force(h):

@@ -6,6 +6,7 @@ from scipy import optimize, stats
 
 from rsvhmc.model import (
     DomainError,
+    LatentTarget,
     ModelParams,
     ObservedSeries,
     PhaseState,
@@ -131,6 +132,21 @@ class TestGradient:
             options={"gtol": 1e-12},
         )
         assert np.linalg.norm(grad_potential(res.x, theta, data)) < 1e-8
+
+
+class TestLatentTarget:
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_matches_public_functions(self, rng, n):
+        theta, h, data = random_instance(rng, n)
+        target = LatentTarget(theta, data)
+        out = np.empty(n)
+        # many calls on one target reuse its scratch buffers
+        for _ in range(20):
+            x = h + rng.normal(0.0, 0.5, n)
+            assert target.potential(x) == pytest.approx(potential(x, theta, data), rel=1e-12)
+            assert target.grad_into(x, out) is out
+            np.testing.assert_allclose(out, grad_potential(x, theta, data), rtol=1e-12, atol=1e-12)
+        assert target.potential(h) == pytest.approx(potential(h, theta, data), rel=1e-12)
 
 
 class TestHamiltonian:
