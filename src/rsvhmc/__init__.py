@@ -16,8 +16,6 @@ from .integrators import (
     Scheme,
     TrajectoryConfig,
     integrate,
-    leapfrog_step,
-    minimum_norm_step,
 )
 from .gibbs import PriorConfig, gibbs_sweep
 from .hmc import ChainResult, HmcOutcome, default_init, hmc_update, run_chain

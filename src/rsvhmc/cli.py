@@ -19,7 +19,6 @@ import datetime as dt
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rsvhmc")
     parser.add_argument("--config", type=Path, help="JSON file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommand_parsers = {}
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     sim.add_argument("--out", type=Path, required=True, help="output series file")
@@ -100,13 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--chain", type=Path, required=True)
     diag.add_argument("--out", type=Path, required=True, help="output summary table")
     diag.add_argument("--min-samples", type=int, default=1000)
-    parser.subcommand_parsers = {
-        "simulate": sim,
-        "estimate": est,
-        "scan": scan,
-        "rv-build": rvb,
-        "diagnose": diag,
-    }
     return parser
 
 
@@ -121,12 +112,17 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     if not isinstance(defaults, dict):
         raise ValidationError(f"config {args.config} must be a JSON object")
     # config supplies defaults; explicit flags win because we re-parse with
-    # the config values installed as parser defaults
+    # the config values installed as subcommand defaults
     cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
-    parser.set_defaults(**cleaned)
-    for sub in parser.subcommand_parsers.values():
-        known = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in cleaned.items() if k in known})
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = set()
+    for sub in subparsers.choices.values():
+        dests = {a.dest for a in sub._actions}
+        known |= dests
+        sub.set_defaults(**{k: v for k, v in cleaned.items() if k in dests})
+    unknown = sorted(set(cleaned) - known)
+    if unknown:
+        raise ValidationError(f"config {args.config}: unknown keys {', '.join(unknown)}")
     return parser.parse_args(argv)
 
 
@@ -196,32 +192,20 @@ def cmd_estimate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = out_dir / "checkpoint.pkl"
-    resume_state = None
-    if args.resume:
-        if not ckpt.exists():
-            raise ValidationError(f"--resume given but {ckpt} does not exist")
-        from .hmc import load_checkpoint
-
-        resume_state = load_checkpoint(ckpt)
-
-    rng = np.random.default_rng(args.seed)
-    t0 = time.monotonic()
+    ckpt = out_dir / "checkpoint.npz"
     result = run_chain(
         data,
         default_init(data),
         cfg,
         n_burn=args.n_burn,
         n_keep=args.n_keep,
-        rng=rng,
+        rng=np.random.default_rng(args.seed),
         prior=prior,
         h_indices=h_indices,
         checkpoint_path=ckpt,
         checkpoint_every=args.checkpoint_every,
-        resume_from=resume_state,
-        seed=args.seed,
+        resume=args.resume,
     )
-    wall = time.monotonic() - t0
 
     cols = result.columns()
     header = ["iteration", *cols.keys(), "delta_h", "accepted"]
@@ -244,15 +228,14 @@ def cmd_estimate(args) -> int:
             "n_burn": args.n_burn,
             "n_keep": args.n_keep,
             "acceptance_rate": result.acceptance_rate,
-            "wall_time_seconds": wall,
+            "wall_time_seconds": result.wall_time_seconds,
         },
     )
     _write_summary(out_dir / "summary.csv", cols, min_samples=min(1000, n_rows))
-    if ckpt.exists():
-        ckpt.unlink()
+    ckpt.unlink(missing_ok=True)
     print(
         f"wrote {chain_path} ({n_rows} kept, acceptance "
-        f"{result.acceptance_rate:.3f}, {wall:.1f}s)"
+        f"{result.acceptance_rate:.3f}, {result.wall_time_seconds:.1f}s)"
     )
     return 0
 

@@ -4,12 +4,12 @@ posterior summaries, delta-H statistics, and the step-size efficiency scan."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gibbs import PriorConfig
-from .hmc import default_init, hmc_update, run_chain
+from .hmc import default_init, hmc_update
 from .integrators import Scheme, TrajectoryConfig
 from .model import ModelParams, ObservedSeries
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-import pickle
-from dataclasses import dataclass, field
+import time
+import zipfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,7 +77,11 @@ def default_init(
 
 @dataclass
 class ChainResult:
-    """Kept draws plus run-level statistics."""
+    """Kept draws plus run-level statistics.
+
+    ``params`` and ``h_samples`` are views of one (5 + len(h_indices), n_keep)
+    record array.
+    """
 
     params: dict[str, np.ndarray]
     h_samples: np.ndarray  # shape (n_keep, len(h_indices))
@@ -84,30 +91,13 @@ class ChainResult:
     acceptance_rate: float
     final_theta: ModelParams
     final_h: np.ndarray
-    seed: int | None = None
+    wall_time_seconds: float  # summed over every resumed piece of the run
 
     def columns(self) -> dict[str, np.ndarray]:
         cols = dict(self.params)
         for j, idx in enumerate(self.h_indices):
             cols[f"h_{idx + 1}"] = self.h_samples[:, j]
         return cols
-
-
-class SinkError(RuntimeError):
-    """A chain recorder failed; a checkpoint was written if configured."""
-
-    def __init__(self, message: str, checkpoint: Path | None = None):
-        super().__init__(message)
-        self.checkpoint = checkpoint
-
-
-@dataclass
-class _ChainState:
-    iteration: int  # completed iterations (burn + kept)
-    theta: ModelParams
-    h: np.ndarray
-    rng_state: dict
-    kept: list
 
 
 def run_chain(
@@ -120,20 +110,21 @@ def run_chain(
     prior: PriorConfig | None = None,
     h_indices: Sequence[int] = (9,),
     update_params: bool = True,
-    sink: Callable[[dict], None] | None = None,
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = 5000,
-    resume_from: "_ChainState | None" = None,
-    seed: int | None = None,
+    resume: bool = False,
 ) -> ChainResult:
     """Run the full sampler: one HMC path update plus one parameter sweep per iteration.
 
     Records theta, delta_h, the accept flag and the selected h components for
-    every kept iteration. ``sink``, when given, receives each kept row as a
-    dict; a sink failure aborts with a checkpoint for resumption.
+    every kept iteration. With ``checkpoint_path``, the state is saved every
+    ``checkpoint_every`` iterations; ``resume`` continues from that file and
+    refuses one written for other data, settings or seed.
     """
     if n_burn < 0 or n_keep < 1:
         raise ValueError("need n_burn >= 0 and n_keep >= 1")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     if prior is None:
         prior = PriorConfig()
     theta, h = init
@@ -143,80 +134,97 @@ def run_chain(
         if not 0 <= i < data.n:
             raise ValueError(f"recorded h index {i} out of range for n={data.n}")
 
-    kept: list = []
-    start_iter = 0
-    if resume_from is not None:
-        theta, h = resume_from.theta, resume_from.h.copy()
-        rng.bit_generator.state = resume_from.rng_state
-        kept = list(resume_from.kept)
-        start_iter = resume_from.iteration
+    n_par = len(PARAM_NAMES)
+    draws = np.empty((n_par + len(h_indices), n_keep))
+    delta_h = np.empty(n_keep)
+    accepted = np.empty(n_keep, dtype=bool)
+    records = {"draws": draws, "delta_h": delta_h, "accepted": accepted}
+    fingerprint = _fingerprint(
+        data, init, cfg, n_burn, n_keep, prior, h_indices, update_params, rng.bit_generator.state
+    )
+    start, n_accept, elapsed = 0, 0, 0.0
+    if resume:
+        if checkpoint_path is None:
+            raise ValueError("resume needs a checkpoint_path")
+        state, saved = _load_checkpoint(Path(checkpoint_path), fingerprint)
+        start, n_accept = state["iteration"], state["n_accept"]
+        theta, h = ModelParams(**state["theta"]), saved["h"].copy()
+        rng.bit_generator.state = state["rng"]
+        elapsed = float(saved["elapsed"])
+        filled = max(0, start - n_burn)
+        for name, arr in records.items():
+            arr[..., :filled] = saved[name]
 
+    t0 = time.perf_counter()
+    h_at = np.array(h_indices, dtype=np.intp)
     total = n_burn + n_keep
-    n_accept = 0
-    n_attempt = 0
-    for it in range(start_iter, total):
+    for it in range(start, total):
         outcome = hmc_update(h, theta, data, cfg, rng)
         h = outcome.h_new
-        n_attempt += 1
         n_accept += int(outcome.accepted)
         if update_params:
             theta = gibbs_sweep(h, theta, data, prior, rng)
         if it >= n_burn:
-            row = {
-                "iteration": it - n_burn,
-                "phi": theta.phi,
-                "mu": theta.mu,
-                "xi": theta.xi,
-                "sigma_eta2": theta.sigma_eta2,
-                "sigma_u2": theta.sigma_u2,
-                "delta_h": outcome.delta_h,
-                "accepted": int(outcome.accepted),
-            }
-            for idx in h_indices:
-                row[f"h_{idx + 1}"] = h[idx]
-            kept.append(row)
-            if sink is not None:
-                try:
-                    sink(row)
-                except Exception as exc:
-                    ckpt = None
-                    if checkpoint_path is not None:
-                        ckpt = Path(checkpoint_path)
-                        save_checkpoint(ckpt, _ChainState(it + 1, theta, h, rng.bit_generator.state, kept))
-                    raise SinkError(f"chain recorder failed at iteration {it}: {exc}", ckpt) from exc
+            k = it - n_burn
+            # in PARAM_NAMES order; a tuple of attributes is the cheapest per-draw write
+            draws[:n_par, k] = (theta.phi, theta.mu, theta.xi, theta.sigma_eta2, theta.sigma_u2)
+            draws[n_par:, k] = h[h_at]
+            delta_h[k] = outcome.delta_h
+            accepted[k] = outcome.accepted
         if checkpoint_path is not None and (it + 1) % checkpoint_every == 0:
+            filled = max(0, it + 1 - n_burn)
             save_checkpoint(
                 Path(checkpoint_path),
-                _ChainState(it + 1, theta, h, rng.bit_generator.state, kept),
+                {
+                    "fingerprint": fingerprint,
+                    "iteration": it + 1,
+                    "n_accept": n_accept,
+                    "theta": theta.as_dict(),
+                    "rng": rng.bit_generator.state,
+                },
+                h=h,
+                elapsed=np.float64(elapsed + time.perf_counter() - t0),
+                **{name: arr[..., :filled] for name, arr in records.items()},
             )
 
-    params = {name: np.array([row[name] for row in kept]) for name in PARAM_NAMES}
-    h_samples = np.array(
-        [[row[f"h_{idx + 1}"] for idx in h_indices] for row in kept]
-    ).reshape(len(kept), len(h_indices))
     return ChainResult(
-        params=params,
-        h_samples=h_samples,
+        params=dict(zip(PARAM_NAMES, draws)),
+        h_samples=draws[n_par:].T,
         h_indices=h_indices,
-        delta_h=np.array([row["delta_h"] for row in kept]),
-        accepted=np.array([row["accepted"] for row in kept], dtype=bool),
-        acceptance_rate=n_accept / max(1, n_attempt),
+        delta_h=delta_h,
+        accepted=accepted,
+        acceptance_rate=n_accept / total,
         final_theta=theta,
         final_h=h,
-        seed=seed,
+        wall_time_seconds=elapsed + time.perf_counter() - t0,
     )
 
 
-def save_checkpoint(path: Path, state: _ChainState):
-    tmp = path.with_suffix(path.suffix + ".tmp")
+def _fingerprint(data, init, cfg, n_burn, n_keep, prior, h_indices, update_params, rng_state) -> str:
+    """sha256 of everything that determines the chain, the starting rng state included."""
+    digest = hashlib.sha256()
+    for arr in (data.y, data.ln_rv, init[1]):
+        digest.update(np.asarray(arr, dtype=np.float64).tobytes())
+    settings = (init[0], cfg, n_burn, n_keep, prior, h_indices, update_params, rng_state)
+    digest.update(repr(settings).encode())
+    return digest.hexdigest()
+
+
+def save_checkpoint(path: Path, state: dict, **arrays: np.ndarray) -> None:
+    """Write ``state`` as a JSON record plus ``arrays`` to one .npz, replacing ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        pickle.dump(state, fh)
+        np.savez(fh, state=np.array(json.dumps(state)), **arrays)
     tmp.replace(path)
 
 
-def load_checkpoint(path: str | Path) -> _ChainState:
-    with open(path, "rb") as fh:
-        state = pickle.load(fh)
-    if not isinstance(state, _ChainState):
-        raise ValueError(f"{path} is not a chain checkpoint")
-    return state
+def _load_checkpoint(path: Path, fingerprint: str) -> tuple[dict, dict[str, np.ndarray]]:
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        state = json.loads(str(arrays.pop("state")))
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot resume: {path} is not a readable chain checkpoint ({exc})") from exc
+    if not isinstance(state, dict) or state.get("fingerprint") != fingerprint:
+        raise ValueError(f"cannot resume: {path} was written for other data, settings or seed")
+    return state, arrays

@@ -101,18 +101,6 @@ class TrajectoryConfig:
         return cls(scheme, total_length / n_steps, n_steps, lam)
 
 
-def leapfrog_step(state: PhaseState, step_size: float, force: Force) -> PhaseState:
-    """One leapfrog step: half drift, full kick, half drift."""
-    return integrate(state, TrajectoryConfig(Scheme.LEAPFROG2, step_size, 1), force)
-
-
-def minimum_norm_step(
-    state: PhaseState, step_size: float, lam: float, force: Force
-) -> PhaseState:
-    """One minimum-norm step: the five-stage T-V-T-V-T splitting."""
-    return integrate(state, TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 1, lam), force)
-
-
 def integrate(state: PhaseState, cfg: TrajectoryConfig, force: Force) -> PhaseState:
     """Apply the configured step n_steps times and return the final state.
 

@@ -108,9 +108,6 @@ class PhaseState:
         if self.h.shape != self.p.shape:
             raise ValueError("h and p must have the same shape")
 
-    def copy(self) -> "PhaseState":
-        return PhaseState(self.h.copy(), self.p.copy())
-
 
 def _as_path(h) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)

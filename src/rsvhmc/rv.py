@@ -10,8 +10,7 @@ distortion, xi = -log(c).
 from __future__ import annotations
 
 import datetime as dt
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

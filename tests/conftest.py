@@ -3,8 +3,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from rsvhmc.integrators import Force
-from rsvhmc.model import ModelParams, ObservedSeries
+from rsvhmc.integrators import Force, Scheme, TrajectoryConfig, integrate
+from rsvhmc.model import ModelParams, ObservedSeries, PhaseState
 
 
 def random_instance(rng, n):
@@ -50,3 +50,13 @@ class CountingForce:
     def __call__(self, h: np.ndarray) -> np.ndarray:
         self.calls += 1
         return self.force(h)
+
+
+def leapfrog_step(state: PhaseState, step_size: float, force: Force) -> PhaseState:
+    """One leapfrog step: half drift, full kick, half drift."""
+    return integrate(state, TrajectoryConfig(Scheme.LEAPFROG2, step_size, 1), force)
+
+
+def minimum_norm_step(state: PhaseState, step_size: float, lam: float, force: Force) -> PhaseState:
+    """One minimum-norm step: the five-stage T-V-T-V-T splitting."""
+    return integrate(state, TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 1, lam), force)

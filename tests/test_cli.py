@@ -1,9 +1,11 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+import rsvhmc.hmc
 from rsvhmc import chainio
 from rsvhmc.cli import main
 
@@ -105,6 +107,110 @@ class TestEstimate:
         )
         assert rc == 1
         assert not (tmp_path / "o" / "chain.csv").exists()
+
+    def test_checkpoint_every_zero_is_validation_error(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "20", "--seed", "1")
+        rc = run(
+            "estimate", "--data", data, "--out", tmp_path / "o",
+            "--n-keep", "5", "--checkpoint-every", "0",
+        )
+        assert rc == 1
+
+
+SPRUNG = []
+
+
+def _spring():
+    SPRUNG.append(True)
+
+
+class _PickleTrap:
+    """Unpickling this object calls ``_spring``."""
+
+    def __reduce__(self):
+        return (_spring, ())
+
+
+class TestResume:
+    ESTIMATE = (
+        "--n-burn", "10", "--n-keep", "200", "--step-size", "0.3",
+        "--total-length", "1.0", "--seed", "77", "--checkpoint-every", "50",
+    )
+
+    def estimate(self, data, out, *extra):
+        return run("estimate", "--data", data, "--out", out, *self.ESTIMATE, *extra)
+
+    @pytest.fixture
+    def aborted(self, tmp_path, monkeypatch):
+        """A data file and a run directory left with a checkpoint by an abort."""
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "60", "--seed", "2")
+        sweep, calls = rsvhmc.hmc.gibbs_sweep, []
+
+        def aborting(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 130:
+                raise RuntimeError("aborted")
+            return sweep(*args, **kwargs)
+
+        out = tmp_path / "run"
+        with monkeypatch.context() as m:
+            m.setattr(rsvhmc.hmc, "gibbs_sweep", aborting)
+            assert self.estimate(data, out) == 2
+        assert (out / "checkpoint.npz").exists()
+        assert not (out / "chain.csv").exists()
+        return data, out
+
+    def test_resumed_outputs_match_uninterrupted_run(self, tmp_path, aborted):
+        data, out = aborted
+        assert self.estimate(data, out, "--resume") == 0
+        assert self.estimate(data, tmp_path / "whole") == 0
+        for name in ("chain.csv", "summary.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+        meta = chainio.read_metadata(out / "chain.csv")
+        whole = chainio.read_metadata(tmp_path / "whole" / "chain.csv")
+        assert meta.pop("wall_time_seconds") and whole.pop("wall_time_seconds")
+        assert meta == whole
+        assert not (out / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [("--seed", "78"), ("--step-size", "0.25"), ("--record-h", "10,20"), ("--n-keep", "201")],
+    )
+    def test_changed_flags_refused(self, aborted, change):
+        data, out = aborted
+        before = (out / "checkpoint.npz").read_bytes()
+        assert self.estimate(data, out, *change, "--resume") == 1
+        assert (out / "checkpoint.npz").read_bytes() == before
+        assert not (out / "chain.csv").exists()
+
+    def test_changed_data_refused(self, tmp_path, aborted):
+        _, out = aborted
+        other = tmp_path / "other.csv"
+        run("simulate", "--out", other, "--n", "60", "--seed", "3")
+        before = (out / "checkpoint.npz").read_bytes()
+        assert self.estimate(other, out, "--resume") == 1
+        assert (out / "checkpoint.npz").read_bytes() == before
+
+    def test_truncated_checkpoint_refused(self, aborted):
+        data, out = aborted
+        ckpt = out / "checkpoint.npz"
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        assert self.estimate(data, out, "--resume") == 1
+        assert ckpt.exists()
+
+    def test_pickle_checkpoint_is_never_unpickled(self, aborted):
+        data, out = aborted
+        (out / "checkpoint.npz").write_bytes(pickle.dumps(_PickleTrap()))
+        assert self.estimate(data, out, "--resume") == 1
+        assert not SPRUNG
+        assert (out / "checkpoint.npz").exists()
+
+    def test_missing_checkpoint_refused(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "60", "--seed", "2")
+        assert self.estimate(data, tmp_path / "fresh", "--resume") == 1
 
 
 class TestScan:
@@ -232,3 +338,9 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
         assert run("--config", cfg, "simulate", "--out", tmp_path / "d.csv") == 1
+
+    def test_unknown_config_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sedd": 3}))
+        assert run("--config", cfg, "simulate", "--out", tmp_path / "d.csv") == 1
+        assert not (tmp_path / "d.csv").exists()

@@ -1,10 +1,12 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from rsvhmc.hmc import SinkError, default_init, hmc_update, load_checkpoint, run_chain
+import rsvhmc.hmc
+from rsvhmc.hmc import default_init, hmc_update, run_chain
 from rsvhmc.integrators import Scheme, TrajectoryConfig
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
@@ -189,44 +191,86 @@ class TestRunChain:
                 h_indices=(40,),
             )
 
-    def test_sink_failure_writes_checkpoint_and_resume_matches(self, tmp_path):
-        ds = small_dataset(n=60)
-        cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 1.0, 0.2)
-        ckpt = tmp_path / "chain.ckpt"
-
-        calls = {"n": 0}
-
-        def flaky_sink(row):
-            calls["n"] += 1
-            if calls["n"] == 30:
-                raise OSError("disk full")
-
-        with pytest.raises(SinkError) as exc:
+    def test_checkpoint_every_below_one_rejected(self, tmp_path):
+        ds = small_dataset(n=40)
+        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
+        with pytest.raises(ValueError, match="checkpoint_every"):
             run_chain(
-                ds.data,
-                default_init(ds.data),
-                cfg,
-                10,
-                100,
-                np.random.default_rng(5),
-                sink=flaky_sink,
-                checkpoint_path=ckpt,
+                ds.data, default_init(ds.data), cfg, 0, 5, np.random.default_rng(0),
+                checkpoint_path=tmp_path / "c.npz", checkpoint_every=0,
             )
-        assert exc.value.checkpoint == ckpt
-        assert ckpt.exists()
 
-        resumed = run_chain(
-            ds.data,
-            default_init(ds.data),
-            cfg,
-            10,
-            100,
-            np.random.default_rng(5),
-            resume_from=load_checkpoint(ckpt),
+
+class TestResume:
+    """A run aborted after a checkpoint and resumed equals an uninterrupted run."""
+
+    N_BURN, N_KEEP, EVERY = 30, 100, 20  # checkpoints after 20, 40, ..., 120 of 130
+
+    def run(self, ds, ckpt, resume=False, rng_seed=5):
+        cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 1.0, 0.2)
+        return run_chain(
+            ds.data, default_init(ds.data), cfg, self.N_BURN, self.N_KEEP,
+            np.random.default_rng(rng_seed), h_indices=(0, 9),
+            checkpoint_path=ckpt, checkpoint_every=self.EVERY, resume=resume,
         )
-        unbroken = run_chain(
-            ds.data, default_init(ds.data), cfg, 10, 100, np.random.default_rng(5)
-        )
+
+    def abort_at(self, monkeypatch, iteration):
+        """Make the parameter sweep of ``iteration`` (0-based) raise."""
+        sweep, calls = rsvhmc.hmc.gibbs_sweep, []
+
+        def aborting(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == iteration + 1:
+                raise KeyboardInterrupt
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(rsvhmc.hmc, "gibbs_sweep", aborting)
+
+    # in burn-in, mid-keep, right after a checkpoint boundary, after the last checkpoint
+    @pytest.mark.parametrize("abort", [25, 70, 80, 125])
+    def test_resumed_run_matches_uninterrupted(self, tmp_path, monkeypatch, abort):
+        ds = small_dataset(n=60)
+        unbroken = self.run(ds, None)
+        ckpt = tmp_path / "chain.npz"
+        with monkeypatch.context() as m:
+            self.abort_at(m, abort)
+            with pytest.raises(KeyboardInterrupt):
+                self.run(ds, ckpt)
+        # a stored elapsed time longer than any piece shows that the pieces add up
+        with np.load(ckpt, allow_pickle=False) as npz:
+            saved = dict(npz)
+        stored = float(saved["elapsed"]) + 1000.0
+        np.savez(ckpt, **{**saved, "elapsed": np.float64(stored)})
+        t0 = time.perf_counter()
+        resumed = self.run(ds, ckpt, resume=True)
+        piece = time.perf_counter() - t0
         for name in unbroken.params:
             np.testing.assert_array_equal(resumed.params[name], unbroken.params[name])
+        np.testing.assert_array_equal(resumed.h_samples, unbroken.h_samples)
         np.testing.assert_array_equal(resumed.delta_h, unbroken.delta_h)
+        np.testing.assert_array_equal(resumed.accepted, unbroken.accepted)
+        np.testing.assert_array_equal(resumed.final_h, unbroken.final_h)
+        assert resumed.acceptance_rate == unbroken.acceptance_rate
+        assert resumed.final_theta == unbroken.final_theta
+        assert stored <= resumed.wall_time_seconds <= stored + piece
+
+    def test_checkpoint_of_other_seed_refused(self, tmp_path, monkeypatch):
+        ds = small_dataset(n=60)
+        ckpt = tmp_path / "chain.npz"
+        with monkeypatch.context() as m:
+            self.abort_at(m, 50)
+            with pytest.raises(KeyboardInterrupt):
+                self.run(ds, ckpt)
+        before = ckpt.read_bytes()
+        with pytest.raises(ValueError, match="other data"):
+            self.run(ds, ckpt, resume=True, rng_seed=6)
+        assert ckpt.read_bytes() == before
+
+    def test_missing_or_foreign_file_refused(self, tmp_path):
+        ds = small_dataset(n=60)
+        ckpt = tmp_path / "chain.npz"
+        with pytest.raises(ValueError, match="not a readable"):
+            self.run(ds, ckpt, resume=True)
+        np.savez(ckpt, h=np.zeros(60))
+        with pytest.raises(ValueError, match="not a readable"):
+            self.run(ds, ckpt, resume=True)

@@ -8,12 +8,10 @@ from rsvhmc.integrators import (
     Scheme,
     TrajectoryConfig,
     integrate,
-    leapfrog_step,
-    minimum_norm_step,
 )
 from rsvhmc.model import PhaseState, grad_potential, hamiltonian
 
-from conftest import CountingForce, random_instance
+from conftest import CountingForce, leapfrog_step, minimum_norm_step, random_instance
 
 
 def harmonic_force(h):
