@@ -28,7 +28,7 @@ from .diagnostics import posterior_summary, stepsize_scan
 from .gibbs import PriorConfig
 from .hmc import default_init, run_chain
 from .integrators import DEFAULT_LAMBDA, Scheme, TrajectoryConfig
-from .model import ModelParams, ObservedSeries
+from .model import PARAM_NAMES, ModelParams, ObservedSeries
 from .synth import STUDY_N, STUDY_PARAMS, simulate
 
 
@@ -44,11 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     sim.add_argument("--out", type=Path, required=True, help="output series file")
     sim.add_argument("--n", type=int, default=STUDY_N)
-    sim.add_argument("--phi", type=float, default=STUDY_PARAMS.phi)
-    sim.add_argument("--mu", type=float, default=STUDY_PARAMS.mu)
-    sim.add_argument("--xi", type=float, default=STUDY_PARAMS.xi)
-    sim.add_argument("--sigma-eta2", type=float, default=STUDY_PARAMS.sigma_eta2)
-    sim.add_argument("--sigma-u2", type=float, default=STUDY_PARAMS.sigma_u2)
+    for name in PARAM_NAMES:
+        sim.add_argument(f"--{name.replace('_', '-')}", type=float, default=getattr(STUDY_PARAMS, name))
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--write-h", action="store_true", help="also write the true latent path")
 
@@ -85,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--n-traj", type=int, default=2000)
     scan.add_argument("--n-warm", type=int, default=500)
     scan.add_argument("--seed", type=int, default=0)
-    for name in ("phi", "mu", "xi", "sigma-eta2", "sigma-u2"):
-        scan.add_argument(f"--{name}", type=float, help="fixed parameter for the scan (default: dataset metadata)")
+    for name in PARAM_NAMES:
+        scan.add_argument(f"--{name.replace('_', '-')}", type=float, help="fixed parameter for the scan (default: dataset metadata)")
 
     rvb = sub.add_parser("rv-build", help="build a daily series from tick or daily data")
     rvb.add_argument("--ticks", type=Path, help="tick file: timestamp,price rows")
@@ -128,7 +125,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 
 def _parse_theta(args, meta: dict[str, str] | None) -> ModelParams:
     vals = {}
-    for name in ("phi", "mu", "xi", "sigma_eta2", "sigma_u2"):
+    for name in PARAM_NAMES:
         flag = getattr(args, name, None)
         if flag is not None:
             vals[name] = flag
@@ -144,7 +141,7 @@ def _parse_theta(args, meta: dict[str, str] | None) -> ModelParams:
 def cmd_simulate(args) -> int:
     if args.n < 2:
         raise ValidationError("--n must be >= 2")
-    theta = ModelParams(args.phi, args.mu, args.xi, args.sigma_eta2, args.sigma_u2)
+    theta = ModelParams(**{name: getattr(args, name) for name in PARAM_NAMES})
     ds = simulate(theta, args.n, args.seed)
     meta = {f"theta_true.{k}": v for k, v in theta.as_dict().items()}
     meta.update({"n": args.n, "seed": args.seed})
@@ -269,18 +266,19 @@ def cmd_scan(args) -> int:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad --grid value {args.grid!r}") from exc
-    if not grid or any(g <= 0 for g in grid):
-        raise ValidationError("--grid needs positive step sizes")
+    if not grid or not all(math.isfinite(g) and g > 0 for g in grid):
+        raise ValidationError("--grid needs finite positive step sizes")
     meta = None
     try:
         meta = chainio.read_metadata(args.data)
     except OSError:
         pass
     theta = _parse_theta(args, meta)
+    scheme = Scheme.parse(args.scheme)
     result = stepsize_scan(
         data,
         theta,
-        Scheme.parse(args.scheme),
+        scheme,
         grid,
         total_length=args.total_length,
         n_traj=args.n_traj,
@@ -297,7 +295,7 @@ def cmd_scan(args) -> int:
     chainio.write_metadata(
         args.out,
         {
-            "scheme": args.scheme,
+            "scheme": scheme.value,
             "total_length": args.total_length,
             "n_traj": args.n_traj,
             "seed": args.seed,

@@ -16,9 +16,7 @@ import numpy as np
 from . import model
 from .gibbs import PriorConfig, gibbs_sweep
 from .integrators import TrajectoryConfig, integrate
-from .model import ModelParams, ObservedSeries, PhaseState
-
-PARAM_NAMES = ("phi", "mu", "xi", "sigma_eta2", "sigma_u2")
+from .model import PARAM_NAMES, ModelParams, ObservedSeries, PhaseState
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ Folk, Comput. Phys. Commun. 151 (2003) 272.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,8 +68,8 @@ class TrajectoryConfig:
     lam: float = DEFAULT_LAMBDA
 
     def __post_init__(self):
-        if self.step_size <= 0.0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.scheme is Scheme.MINIMUM_NORM2 and not (0.0 < self.lam < 0.5):
@@ -95,8 +96,8 @@ class TrajectoryConfig:
         lam: float = DEFAULT_LAMBDA,
     ) -> "TrajectoryConfig":
         """Fix the total length exactly: n_steps = round(l / dt), dt = l / n_steps."""
-        if total_length <= 0.0 or step_size <= 0.0:
-            raise ValueError("total_length and step_size must be > 0")
+        if not all(math.isfinite(v) and v > 0.0 for v in (total_length, step_size)):
+            raise ValueError(f"need finite total_length, step_size > 0, got {total_length}, {step_size}")
         n_steps = max(1, round(total_length / step_size))
         return cls(scheme, total_length / n_steps, n_steps, lam)
 

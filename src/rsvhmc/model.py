@@ -37,6 +37,9 @@ class DomainError(ValueError):
         self.index = index
 
 
+PARAM_NAMES = ("phi", "mu", "xi", "sigma_eta2", "sigma_u2")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The five model parameters (phi, mu, xi, sigma_eta2, sigma_u2)."""
@@ -66,7 +69,7 @@ class ModelParams:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return ("phi", "mu", "xi", "sigma_eta2", "sigma_u2")
+        return PARAM_NAMES
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,23 @@ class TestEstimate:
         assert len(cols["phi"]) == 10
         assert "h_10" in cols
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--step-size", "nan", "--n-steps", "5"),
+            ("--step-size", "inf"),
+            ("--total-length", "nan"),
+            ("--total-length", "inf"),
+        ],
+    )
+    def test_non_finite_trajectory_rejected(self, tmp_path, flags):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "30", "--seed", "1")
+        out = tmp_path / "run"
+        rc = run("estimate", "--data", data, "--out", out, "--n-burn", "2", "--n-keep", "5", *flags)
+        assert rc == 1
+        assert not (out / "chain.csv").exists()
+
     def test_determinism_byte_identical_chains(self, tmp_path):
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "60", "--seed", "2")
@@ -219,7 +236,7 @@ class TestScan:
         run("simulate", "--out", data, "--n", "80", "--seed", "4")
         out = tmp_path / "scan.csv"
         rc = run(
-            "scan", "--data", data, "--out", out, "--grid", "0.2,0.4",
+            "scan", "--data", data, "--out", out, "--grid", "0.2,0.4", "--scheme", "LeapFrog",
             "--n-traj", "100", "--n-warm", "20", "--total-length", "1.0",
         )
         assert rc == 0
@@ -230,6 +247,7 @@ class TestScan:
         )
         meta = chainio.read_metadata(out)
         assert "optimum.step_size" in meta
+        assert meta["scheme"] == "2lfi"  # the parsed scheme, not the alias given
 
     def test_theta_from_flags_when_no_metadata(self, tmp_path):
         data = tmp_path / "bare.csv"
@@ -250,7 +268,9 @@ class TestScan:
     def test_bad_grid(self, tmp_path):
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "20")
-        assert run("scan", "--data", data, "--out", tmp_path / "s.csv", "--grid", "0,-1") == 1
+        for grid in ("0,-1", "nan", "0.1,inf", "-inf"):
+            assert run("scan", "--data", data, "--out", tmp_path / "s.csv", f"--grid={grid}") == 1
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestRvBuild:

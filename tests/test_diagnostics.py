@@ -5,6 +5,7 @@ import pytest
 
 from rsvhmc.diagnostics import (
     DegenerateSeriesError,
+    _fft_length,
     acf,
     integrated_act,
     posterior_summary,
@@ -25,7 +26,35 @@ def ar1(rho, n, seed, sd=1.0):
     return x
 
 
+def acf_by_definition(x, max_lag):
+    """C(t) / C(0) with C(t) = mean of (x_i - xbar)(x_{i+t} - xbar), one lag at a time."""
+    d = np.asarray(x, dtype=np.float64) - np.mean(x)
+    n = len(d)
+    c0 = np.mean(d * d)
+    return np.array([1.0] + [np.mean(d[: n - t] * d[t:]) / c0 for t in range(1, max_lag + 1)])
+
+
 class TestAcf:
+    @pytest.mark.parametrize("n", [2, 7, 64, 101, 257, 1000])
+    def test_matches_definition_at_every_lag(self, n):
+        # the last lags are where too little zero-padding would wrap around
+        x = ar1(0.7, n, seed=n) + 3.0
+        expected = acf_by_definition(x, n - 1)
+        for max_lag in range(1, n):
+            np.testing.assert_allclose(acf(x, max_lag), expected[: max_lag + 1], rtol=0, atol=1e-12)
+
+    def test_fft_length_is_smallest_5_smooth(self):
+        def smooth(k):
+            for q in (2, 3, 5):
+                while k % q == 0:
+                    k //= q
+            return k == 1
+
+        for m in [*range(1, 400), 99_999, 38_001]:
+            length = _fft_length(m)
+            assert length >= m and smooth(length)
+            assert not any(smooth(k) for k in range(m, length))
+
     def test_alternating_series(self):
         x = np.tile([1.0, -1.0], 500)
         rho = acf(x, 3)

@@ -50,6 +50,13 @@ class TestConfig:
             TrajectoryConfig(Scheme.LEAPFROG2, step_size=0.1, n_steps=0)
         with pytest.raises(ValueError):
             TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size=0.1, n_steps=1, lam=0.6)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                TrajectoryConfig(Scheme.LEAPFROG2, step_size=bad, n_steps=5)
+            with pytest.raises(ValueError):
+                TrajectoryConfig.from_length(Scheme.LEAPFROG2, 2.0, bad)
+            with pytest.raises(ValueError):
+                TrajectoryConfig.from_length(Scheme.LEAPFROG2, bad, 0.1)
 
     def test_from_length_hits_exact_length(self):
         cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 2.0, 0.222)
