@@ -43,8 +43,9 @@ def hmc_update(
     p = rng.standard_normal(len(h))
     target = model.LatentTarget(theta, data)
     g = np.empty(len(h))
-    # overflow only shows up as a non-finite delta_h, checked once below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow and division by zero (exp(h) underflowing to 0 in the gradient)
+    # only show up as a non-finite delta_h, checked once below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         h0 = target.potential(h) + 0.5 * float(p @ p)
         end = integrate(PhaseState(h, p), cfg, lambda x: target.grad_into(x, g))
         delta_h = target.potential(end.h) + 0.5 * float(end.p @ end.p) - h0

@@ -112,9 +112,14 @@ def integrate(state: PhaseState, cfg: TrajectoryConfig, force: Force) -> PhaseSt
     tmp = np.empty_like(h)
     # drifts are not merged across steps, so n steps equal n one-step calls
     stages = [(drift * cfg.step_size, kick * cfg.step_size) for drift, kick in cfg.stages]
+    held = None  # the drift whose product with the current p is in tmp
     for _ in range(cfg.n_steps):
         for drift, kick in stages:
-            h += np.multiply(drift, p, out=tmp)
+            if drift != held:
+                np.multiply(drift, p, out=tmp)
+            h += tmp
+            held = drift
             if kick:
                 p -= np.multiply(kick, force(h), out=tmp)
+                held = None
     return PhaseState(h, p)

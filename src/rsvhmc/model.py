@@ -135,9 +135,15 @@ class LatentTarget:
     """The potential of :func:`potential` and its gradient at one theta.
 
     Built once per theta, it holds the h-independent pieces of V and scratch
-    buffers reused from call to call. Its methods do not validate h: the
-    caller passes a float64 path of the series length and checks the result
-    for finiteness.
+    buffers reused from call to call. The gradient is folded into
+
+        dV/dh = c + A h - (y^2/2) e^{-h},
+
+    where c is a per-site vector and A is tridiagonal: off-diagonal
+    -phi/sigma_eta2, diagonal 1/sigma_u2 + (1 + phi^2)/sigma_eta2 inside and
+    1/sigma_u2 + 1/sigma_eta2 at both ends. V itself keeps its residual form.
+    Its methods do not validate h: the caller passes a float64 path of the
+    series length and checks the result for finiteness.
     """
 
     def __init__(self, theta: ModelParams, data: ObservedSeries):
@@ -150,6 +156,16 @@ class LatentTarget:
         self.mu = theta.mu
         self.drift = theta.mu * (1.0 - theta.phi)
         self.stationary = (1.0 - theta.phi**2) / theta.sigma_eta2
+        # c: every h-independent term of dV/dh
+        c = 0.5 - self.ln_rv_xi * self.inv_su2
+        c[1:] -= self.drift * self.inv_se2
+        c[:-1] += self.phi * self.drift * self.inv_se2
+        c[0] -= self.stationary * self.mu
+        self.c = c
+        off = -self.phi * self.inv_se2
+        self.band = np.array([off, self.inv_su2 + (1.0 + self.phi**2) * self.inv_se2, off])
+        # the band's interior diagonal exceeds A's at both ends by this much
+        self.end_correction = self.phi**2 * self.inv_se2
         self._site = np.empty(n)
         self._tmp = np.empty(n)
         self._resid = np.empty(n - 1)
@@ -186,17 +202,19 @@ class LatentTarget:
         return v + 0.5 * self.inv_se2 * float(r @ r)
 
     def grad_into(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write dV/dh into ``out`` and return it."""
-        np.subtract(0.5, self._return_terms(h), out=out)
-        d = np.subtract(self.ln_rv_xi, h, out=self._tmp)
-        d *= self.inv_su2
-        out -= d
-        out[0] += self.stationary * (h[0] - self.mu)
-        r = self._transitions(h)
-        r *= self.inv_se2
-        out[1:] += r
-        r *= self.phi
-        out[:-1] -= r
+        """Write dV/dh into ``out`` and return it.
+
+        exp(h) underflows to 0 below h = -745, where the division yields
+        inf (or nan where y = 0); callers see that as a non-finite result.
+        """
+        np.exp(h, out=out)
+        np.divide(self.half_y2, out, out=out)
+        np.subtract(self.c, out, out=out)
+        # "full" mode zero-pads both ends, so [1:-1] is A h with the interior diagonal
+        a = np.convolve(h, self.band)[1:-1]
+        a[0] -= self.end_correction * h[0]
+        a[-1] -= self.end_correction * h[-1]
+        out += a
         return out
 
 
@@ -225,7 +243,9 @@ def grad_potential(h, theta: ModelParams, data: ObservedSeries) -> np.ndarray:
     h = _as_path(h)
     _check_match(h, data)
     _check_exp_range(h)
-    g = LatentTarget(theta, data).grad_into(h, np.empty(len(h)))
+    # above h = 709 exp(h) overflows to inf, and the return term is exactly -0
+    with np.errstate(over="ignore"):
+        g = LatentTarget(theta, data).grad_into(h, np.empty(len(h)))
     if not np.all(np.isfinite(g)):
         idx = int(np.flatnonzero(~np.isfinite(g))[0])
         raise DomainError("gradient is non-finite", index=idx)

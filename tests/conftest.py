@@ -52,6 +52,19 @@ class CountingForce:
         return self.force(h)
 
 
+def integrate_by_stages(state: PhaseState, cfg: TrajectoryConfig, force: Force) -> PhaseState:
+    """Reference for ``integrate``: every drift forms its own product with p."""
+    h, p = state.h.copy(), state.p.copy()
+    tmp = np.empty_like(h)
+    stages = [(drift * cfg.step_size, kick * cfg.step_size) for drift, kick in cfg.stages]
+    for _ in range(cfg.n_steps):
+        for drift, kick in stages:
+            h += np.multiply(drift, p, out=tmp)
+            if kick:
+                p -= np.multiply(kick, force(h), out=tmp)
+    return PhaseState(h, p)
+
+
 def leapfrog_step(state: PhaseState, step_size: float, force: Force) -> PhaseState:
     """One leapfrog step: half drift, full kick, half drift."""
     return integrate(state, TrajectoryConfig(Scheme.LEAPFROG2, step_size, 1), force)

@@ -39,18 +39,20 @@ class TestHmcUpdate:
                 np.testing.assert_array_equal(out.h_new, ds.h_true)
         assert rejected > 0
 
-    def test_domain_failure_counts_as_rejection(self):
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_domain_failure_counts_as_rejection(self, scheme):
         ds = small_dataset()
-        cfg = TrajectoryConfig(Scheme.LEAPFROG2, 1e6, 2)
+        cfg = TrajectoryConfig(scheme, 1e6, 2)
         rng = np.random.default_rng(2)
         out = hmc_update(ds.h_true, ds.theta_true, ds.data, cfg, rng)
         assert not out.accepted
         assert out.delta_h == math.inf
         np.testing.assert_array_equal(out.h_new, ds.h_true)
 
-    def test_divergence_emits_no_warning(self):
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_divergence_emits_no_warning(self, scheme):
         ds = small_dataset()
-        cfg = TrajectoryConfig(Scheme.LEAPFROG2, 1e6, 2)
+        cfg = TrajectoryConfig(scheme, 1e6, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = hmc_update(ds.h_true, ds.theta_true, ds.data, cfg, np.random.default_rng(2))

@@ -5,13 +5,20 @@ import pytest
 
 from rsvhmc.integrators import (
     DEFAULT_LAMBDA,
+    SPLITTINGS,
     Scheme,
     TrajectoryConfig,
     integrate,
 )
 from rsvhmc.model import PhaseState, grad_potential, hamiltonian
 
-from conftest import CountingForce, leapfrog_step, minimum_norm_step, random_instance
+from conftest import (
+    CountingForce,
+    integrate_by_stages,
+    leapfrog_step,
+    minimum_norm_step,
+    random_instance,
+)
 
 
 def harmonic_force(h):
@@ -146,6 +153,30 @@ class TestIntegrate:
         two_halves = integrate(integrate(start, half_cfg, force), half_cfg, force)
         np.testing.assert_array_equal(full.h, two_halves.h)
         np.testing.assert_array_equal(full.p, two_halves.p)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_shared_drift_products_match_stagewise_loop(self, rng, scheme, n_steps):
+        theta, h, data = random_instance(rng, 6)
+        force = lambda x: grad_potential(x, theta, data)
+        start = PhaseState(h, rng.normal(0.0, 1.0, 6))
+        cfg = TrajectoryConfig(scheme, 0.1, n_steps)
+        shared = integrate(start, cfg, force)
+        reference = integrate_by_stages(start, cfg, force)
+        np.testing.assert_array_equal(shared.h, reference.h)
+        np.testing.assert_array_equal(shared.p, reference.p)
+
+    def test_unequal_adjacent_drifts_form_fresh_products(self, rng, monkeypatch):
+        # the last drift (0.7) differs from the next step's first (0.3)
+        monkeypatch.setitem(SPLITTINGS, Scheme.LEAPFROG2, lambda lam: ((0.3, 1.0), (0.7, 0.0)))
+        theta, h, data = random_instance(rng, 6)
+        force = lambda x: grad_potential(x, theta, data)
+        start = PhaseState(h, rng.normal(0.0, 1.0, 6))
+        cfg = TrajectoryConfig(Scheme.LEAPFROG2, 0.1, 7)
+        shared = integrate(start, cfg, force)
+        reference = integrate_by_stages(start, cfg, force)
+        np.testing.assert_array_equal(shared.h, reference.h)
+        np.testing.assert_array_equal(shared.p, reference.p)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_full_period_harmonic_return(self, scheme):

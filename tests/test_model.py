@@ -39,6 +39,28 @@ def oracle_log_density(h, theta, data):
     return lp
 
 
+def grad_by_residuals(h, theta, data):
+    """dV/dh in residual form, as the kernel computed it before the
+    h-independent terms were folded into one vector.
+
+    Also returns the scale of the rounding error: the largest magnitude of a
+    single term, in this form or in the kernel's c + A h - (y^2/2) e^{-h}.
+    """
+    phi, mu, se2, su2 = theta.phi, theta.mu, theta.sigma_eta2, theta.sigma_u2
+    ell = data.ln_rv - theta.xi
+    returns = 0.5 * data.y**2 * np.exp(-h)
+    r = h[1:] - mu - phi * (h[:-1] - mu)
+    grad = 0.5 - returns - (ell - h) / su2
+    grad[0] += (1.0 - phi**2) * (h[0] - mu) / se2
+    grad[1:] += r / se2
+    grad[:-1] -= phi * r / se2
+    terms = (
+        0.5, returns, (ell - h) / su2, (1.0 - phi**2) * (h[0] - mu) / se2, r / se2,
+        ell / su2, mu / se2, (1.0 / su2 + (1.0 + phi**2) / se2) * h,
+    )
+    return grad, max(float(np.max(np.abs(t), initial=0.0)) for t in terms)
+
+
 class TestParamValidation:
     def test_rejects_nonstationary_phi(self):
         with pytest.raises(ValueError):
@@ -139,14 +161,40 @@ class TestLatentTarget:
     def test_matches_public_functions(self, rng, n):
         theta, h, data = random_instance(rng, n)
         target = LatentTarget(theta, data)
-        out = np.empty(n)
         # many calls on one target reuse its scratch buffers
         for _ in range(20):
             x = h + rng.normal(0.0, 0.5, n)
             assert target.potential(x) == pytest.approx(potential(x, theta, data), rel=1e-12)
-            assert target.grad_into(x, out) is out
-            np.testing.assert_allclose(out, grad_potential(x, theta, data), rtol=1e-12, atol=1e-12)
         assert target.potential(h) == pytest.approx(potential(h, theta, data), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_gradient_matches_residual_form(self, rng, n):
+        theta, h, data = random_instance(rng, n)
+        target = LatentTarget(theta, data)
+        out = np.empty(n)
+        for _ in range(20):
+            x = h + rng.normal(0.0, 0.5, n)
+            assert target.grad_into(x, out) is out
+            expected, scale = grad_by_residuals(x, theta, data)
+            np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("phi", [-0.999, 0.999])
+    @pytest.mark.parametrize("sigma_eta2", [1e-3, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_gradient_at_extreme_parameters(self, rng, phi, sigma_eta2, n):
+        theta, h, data = random_instance(rng, n)
+        theta = theta.replace(phi=phi, sigma_eta2=sigma_eta2)
+        expected, scale = grad_by_residuals(h, theta, data)
+        got = LatentTarget(theta, data).grad_into(h, np.empty(n))
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * scale)
+
+    def test_gradient_where_exp_h_overflows(self):
+        # exp(h) is inf above h = 709; the return term is then exactly zero
+        theta = ModelParams(phi=0.5, mu=0.1, xi=0.2, sigma_eta2=0.3, sigma_u2=0.4)
+        data = ObservedSeries(y=[1.0, 1.0, 1.0], ln_rv=[0.0, 0.0, 0.0])
+        h = np.array([0.0, 720.0, 0.0])
+        expected, scale = grad_by_residuals(h, theta, data)
+        np.testing.assert_allclose(grad_potential(h, theta, data), expected, rtol=0.0, atol=1e-13 * scale)
 
 
 class TestHamiltonian:
