@@ -8,6 +8,7 @@ that round-trips exactly, so every file reads back bit-identical.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,32 +26,71 @@ def fmt(value) -> str:
     return str(value)
 
 
+# cell types whose ``str`` is already ``fmt``'s rendering, so a row made only
+# of them goes to the csv module's C writer as it is
+_PLAIN = frozenset((float, int, str))
+
+
 def write_table(path: Path, header: list[str], rows) -> None:
+    """Write ``<path>.tmp`` row by row, then rename it to ``path``; a write that
+    fails part-way leaves neither file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(
+                row if _PLAIN.issuperset(map(type, row)) else [fmt(v) for v in row]
+                for row in map(tuple, rows)
+            )
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_table(path: Path) -> dict[str, list[str]]:
+    """Read a table as string columns; blank lines are skipped, and a row with
+    more or fewer cells than the header is refused."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header")
         cols: dict[str, list[str]] = {name: [] for name in header}
         for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: {len(row)} cells for {len(header)} columns"
+                )
             for name, v in zip(header, row):
                 cols[name].append(v)
     return cols
 
 
 def read_columns(path: Path) -> dict[str, np.ndarray]:
-    """Read a table as float64 columns (non-numeric columns stay as strings)."""
-    cols = read_table(path)
+    """Read a table as float64 columns (non-numeric columns stay as strings).
+
+    A numeric table is parsed in one pass by ``np.loadtxt``, whose floats are
+    bit-identical to ``float()``'s. A table it refuses (quotes, dates, empty
+    cells, ragged rows) or that has no rows is read cell by cell instead.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]))
+        try:
+            with warnings.catch_warnings():
+                # a table without rows goes to the cell-by-cell reader below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is not None and data.shape[1] == len(header):
+        return dict(zip(header, np.ascontiguousarray(data.T)))
     out: dict[str, np.ndarray] = {}
-    for name, vals in cols.items():
+    for name, vals in read_table(path).items():
         try:
             out[name] = np.array([float(v) for v in vals])
         except ValueError:
@@ -85,9 +125,7 @@ def read_metadata(path: Path) -> dict[str, str]:
 
 
 def write_series(path: Path, data: ObservedSeries, meta: dict | None = None) -> None:
-    rows = (
-        (t + 1, data.y[t], data.ln_rv[t]) for t in range(data.n)
-    )
+    rows = zip(range(1, data.n + 1), data.y.tolist(), data.ln_rv.tolist())
     write_table(path, ["t", "y", "ln_rv"], rows)
     if meta is not None:
         write_metadata(path, meta)

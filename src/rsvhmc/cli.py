@@ -148,9 +148,7 @@ def cmd_simulate(args) -> int:
     chainio.write_series(args.out, ds.data, meta)
     if args.write_h:
         hpath = args.out.with_name(args.out.stem + "_h" + args.out.suffix)
-        chainio.write_table(
-            hpath, ["t", "h"], ((t + 1, ds.h_true[t]) for t in range(args.n))
-        )
+        chainio.write_table(hpath, ["t", "h"], zip(range(1, args.n + 1), ds.h_true.tolist()))
     print(f"wrote {args.out} (n={args.n}, seed={args.seed})")
     return 0
 
@@ -207,9 +205,11 @@ def cmd_estimate(args) -> int:
     cols = result.columns()
     header = ["iteration", *cols.keys(), "delta_h", "accepted"]
     n_rows = len(result.delta_h)
-    rows = (
-        [i, *(cols[k][i] for k in cols), result.delta_h[i], int(result.accepted[i])]
-        for i in range(n_rows)
+    rows = zip(
+        range(n_rows),
+        *(col.tolist() for col in cols.values()),
+        result.delta_h.tolist(),
+        result.accepted.astype(int).tolist(),
     )
     chain_path = out_dir / "chain.csv"
     chainio.write_table(chain_path, header, rows)

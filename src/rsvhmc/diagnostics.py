@@ -60,18 +60,24 @@ def acf(series, max_lag: int) -> np.ndarray:
     n = len(x)
     if max_lag < 1 or n <= max_lag:
         raise ValueError(f"need len(series) > max_lag >= 1, got {n}, {max_lag}")
+    if not np.isfinite(x).all():
+        raise ValueError("series has non-finite values (nan or inf)")
     d = x - np.mean(x)
     c0 = float(np.mean(d * d))
     if c0 <= 0.0:
         raise DegenerateSeriesError("series has zero variance")
-    # every lag at once from the power spectrum; zero-padding to at least
-    # n + max_lag keeps the circular correlation from wrapping those lags around
-    m = _fft_length(n + max_lag)
-    f = np.fft.rfft(d, m)
-    sums = np.fft.irfft(f.real**2 + f.imag**2, m)[: max_lag + 1]
-    rho = sums / ((n - np.arange(max_lag + 1)) * c0)
+    rho = _lag_sums(d, max_lag) / ((n - np.arange(max_lag + 1)) * c0)
     rho[0] = 1.0
     return rho
+
+
+def _lag_sums(d: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_i d[..., i] d[..., i + t] for t = 0..max_lag, along the last axis."""
+    # every lag at once from the power spectrum; zero-padding to at least
+    # len + max_lag keeps the circular correlation from wrapping those lags around
+    m = _fft_length(d.shape[-1] + max_lag)
+    f = np.fft.rfft(d, m)
+    return np.fft.irfft(f.real**2 + f.imag**2, m)[..., : max_lag + 1]
 
 
 def _fft_length(m: int) -> int:
@@ -111,12 +117,54 @@ def integrated_act(series) -> ActEstimate:
             f"bin length {bin_len} shorter than window {window}; "
             "series too short for a jackknife error"
         )
-    reps = np.empty(N_BINS)
-    for b in range(N_BINS):
-        keep = np.concatenate([x[: b * bin_len], x[(b + 1) * bin_len :]])
-        reps[b] = 2.0 * float(np.sum(acf(keep, window))) - 1.0
+    reps = _jackknife_reps(x, rho, window)
     err = math.sqrt((N_BINS - 1) * float(np.var(reps)))
     return ActEstimate(two_tau_int=estimate, error=err, window=window)
+
+
+def _jackknife_reps(x: np.ndarray, rho: np.ndarray, window: int) -> np.ndarray:
+    """2 tau_int at ``window`` of the series with each of N_BINS bins left out.
+
+    ``rho`` is the full series' ACF up to at least ``window``. Each replicate's
+    lag sums are downdated from the full series' ones: for a bin [s, e) and
+    lags t <= window <= bin length, every pair with an end in the bin lies in
+    the neighbourhood z[s-W : e+W], and every new pair across the closed gap
+    in the joined margins z[s-W : s] ++ z[e : e+W]. Pairs inside one margin are
+    in both, so kept = full - neighbourhood + joined. Cumulative sums then
+    re-centre each replicate on its own mean. Every array is O(bin length)
+    per bin.
+    """
+    n, w = len(x), window
+    bin_len = n // N_BINS
+    z = x - np.mean(x)
+    t = np.arange(w + 1)
+    starts = bin_len * np.arange(N_BINS)
+    ends = starts + bin_len
+    lo, hi = np.maximum(starts - w, 0), np.minimum(ends + w, n)
+    near = np.zeros((N_BINS, bin_len + 2 * w))
+    joined = np.zeros((N_BINS, 2 * w))
+    for b, (a, s, e, c) in enumerate(zip(lo, starts, ends, hi)):
+        near[b, : c - a] = z[a:c]
+        joined[b, : s - a] = z[a:s]
+        joined[b, s - a : s - a + c - e] = z[e:c]
+    full = rho[: w + 1] * ((n - t) * float(np.mean(z * z)))
+    sums = full - _lag_sums(near, w) + _lag_sums(joined, w)
+
+    # re-centre: the kept values' total, and the sums of their first and last t
+    m = n - bin_len
+    csum = np.concatenate(([0.0], np.cumsum(z)))
+    s, e = starts[:, None], ends[:, None]
+    after = n - e
+    total = csum[s] + csum[n] - csum[e]
+    head = csum[np.minimum(t, s)] + csum[e + np.maximum(t - s, 0)] - csum[e]
+    tail = csum[n] - csum[n - np.minimum(t, after)] + csum[s] - csum[s - np.maximum(t - after, 0)]
+    mean = total / m
+    sums += mean * (head + tail - 2.0 * total) + (m - t) * mean**2
+    # a replicate variance within rounding of zero is a constant kept series
+    if np.any(sums[:, 0] <= 1e-12 * full[0]):
+        raise DegenerateSeriesError("a jackknife replicate has zero variance")
+    rho_reps = sums / ((m - t) * (sums[:, :1] / m))
+    return 2.0 * rho_reps.sum(axis=1) - 1.0
 
 
 def rms_dh(dh_samples) -> float:

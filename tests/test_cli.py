@@ -340,6 +340,13 @@ class TestDiagnose:
         assert "phi" in cols["parameter"]
         assert "h_10" in cols["parameter"]
 
+    def test_ragged_chain_refused(self, tmp_path, capsys):
+        chain = tmp_path / "chain.csv"
+        chain.write_text("a,b,c\n1,2,3\n4,5,6\n7,8\n")
+        assert run("diagnose", "--chain", chain, "--out", tmp_path / "s.csv") == 1
+        assert "chain.csv:4:" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_missing_chain(self, tmp_path):
         assert run("diagnose", "--chain", tmp_path / "x.csv", "--out", tmp_path / "s.csv") == 1
 

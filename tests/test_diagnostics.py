@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from rsvhmc.diagnostics import (
+    N_BINS,
     DegenerateSeriesError,
     _fft_length,
+    _jackknife_reps,
     acf,
     integrated_act,
     posterior_summary,
@@ -32,6 +34,17 @@ def acf_by_definition(x, max_lag):
     n = len(d)
     c0 = np.mean(d * d)
     return np.array([1.0] + [np.mean(d[: n - t] * d[t:]) / c0 for t in range(1, max_lag + 1)])
+
+
+def jackknife_by_concatenation(x, window):
+    """2 tau_int at ``window`` of each leave-one-bin-out series, built and
+    transformed in full, one bin at a time."""
+    bin_len = len(x) // N_BINS
+    reps = np.empty(N_BINS)
+    for b in range(N_BINS):
+        keep = np.concatenate([x[: b * bin_len], x[(b + 1) * bin_len :]])
+        reps[b] = 2.0 * float(np.sum(acf(keep, window))) - 1.0
+    return reps
 
 
 class TestAcf:
@@ -102,9 +115,44 @@ class TestIntegratedAct:
         with pytest.raises(ValueError):
             integrated_act(np.arange(50.0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_series_named(self, value):
+        x = np.random.default_rng(3).normal(size=1000)
+        x[500] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            integrated_act(x)
+
     def test_strongly_correlated_short_series_errors(self):
         x = np.cumsum(np.random.default_rng(0).normal(size=200))
         with pytest.raises(ValueError):
+            integrated_act(x)
+
+
+class TestJackknife:
+    @pytest.mark.parametrize("n", [100, 119, 2000, 50_000, 50_013])
+    def test_downdate_matches_concatenation(self, n):
+        # n % 20 == 0 leaves nothing after the last bin; otherwise a short tail
+        x = ar1(0.8, n, seed=n) + 3.0
+        bin_len = n // N_BINS
+        if n <= 2000:
+            windows = range(1, bin_len + 1)
+        else:
+            windows = (1, 2, 7, 100, bin_len // 2, bin_len - 1, bin_len)
+        rho = acf(x, n // 2)
+        for window in windows:
+            expected = jackknife_by_concatenation(x, window)
+            got = _jackknife_reps(x, rho, window)
+            assert np.all(np.abs(got - expected) <= 1e-11 * np.maximum(1.0, np.abs(expected))), window
+
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    @pytest.mark.parametrize("b", [0, 7, 19])
+    def test_constant_outside_one_bin_is_degenerate(self, level, b):
+        # leaving that bin out leaves a constant series, as in the oracle
+        x = np.full(2000, level)
+        x[b * 100 : (b + 1) * 100] = np.random.default_rng(1).normal(size=100)
+        with pytest.raises(DegenerateSeriesError):
+            jackknife_by_concatenation(x, 5)
+        with pytest.raises(DegenerateSeriesError):
             integrated_act(x)
 
 
@@ -182,6 +230,13 @@ class TestPosteriorSummary:
         assert summary.sd == 0.0
         assert summary.act is None
         assert summary.note == "degenerate column"
+
+    def test_non_finite_column_named(self):
+        col = np.random.default_rng(17).normal(size=2000)
+        col[7] = math.nan
+        (summary,) = posterior_summary({"a": col})
+        assert summary.act is None
+        assert "non-finite" in summary.note
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
