@@ -5,9 +5,7 @@ from .model import (
     LatentTarget,
     ModelParams,
     ObservedSeries,
-    PhaseState,
     grad_potential,
-    hamiltonian,
     joint_log_density,
     potential,
 )

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hmc import default_init, hmc_update
-from .integrators import Scheme, TrajectoryConfig
+from . import model
+from .hmc import default_init, hmc_update, start_path
+from .integrators import DEFAULT_LAMBDA, Scheme, TrajectoryConfig
 from .model import ModelParams, ObservedSeries
 
 
@@ -191,6 +192,11 @@ def posterior_summary(columns: dict[str, np.ndarray], min_samples: int = 1000) -
         col = np.asarray(col, dtype=np.float64)
         if len(col) < min_samples:
             raise ValueError(f"column {name}: need >= {min_samples} samples")
+        if not np.isfinite(col).all():
+            # moments of a series holding nan or inf are undefined (and warn)
+            note = "series has non-finite values (nan or inf)"
+            out.append(ParamSummary(name=name, mean=math.nan, sd=math.nan, act=None, note=note))
+            continue
         mean = float(np.mean(col))
         sd = float(np.std(col, ddof=1))
         try:
@@ -214,27 +220,25 @@ def stepsize_scan(
     n_warm: int = 500,
     seed: int = 0,
     h0: np.ndarray | None = None,
-    lam: float | None = None,
+    lam: float = DEFAULT_LAMBDA,
 ) -> ScanResult:
     """Acceptance, RMS delta-H and efficiency over a grid of step sizes.
 
     Each grid point runs ``n_warm`` discarded trajectories followed by
-    ``n_traj`` measured ones, at fixed theta. The latent path
-    carries over between grid points so later points start equilibrated.
+    ``n_traj`` measured ones, at fixed theta. The latent path and its
+    potential carry over between trajectories and grid points, so later
+    points start equilibrated.
     """
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("grid must be non-empty")
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    h = start_path(default_init(data)[1] if h0 is None else h0, data)
     rng = np.random.default_rng(seed)
-    if h0 is None:
-        _, h = default_init(data)
-    else:
-        h = np.asarray(h0, dtype=np.float64).copy()
-
-    kwargs = {} if lam is None else {"lam": lam}
-    cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt, **kwargs) for dt in grid]
+    cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt, lam) for dt in grid]
+    target = model.LatentTarget(theta, data)
+    v = target.potential(h)
     rows = []
     warnings = []
     for cfg in cfgs:
@@ -242,14 +246,16 @@ def stepsize_scan(
         # have uniformly large delta-H at the target step, stalling the warm-up
         pre_cfg = TrajectoryConfig(scheme, cfg.step_size / 5.0, cfg.n_steps, cfg.lam)
         for _ in range(min(100, n_warm)):
-            h = hmc_update(h, theta, data, pre_cfg, rng).h_new
+            out = hmc_update(h, v, target, pre_cfg, rng)
+            h, v = out.h_new, out.potential
         for _ in range(n_warm):
-            h = hmc_update(h, theta, data, cfg, rng).h_new
+            out = hmc_update(h, v, target, cfg, rng)
+            h, v = out.h_new, out.potential
         dh = np.empty(n_traj)
         acc = np.empty(n_traj, dtype=bool)
         for i in range(n_traj):
-            out = hmc_update(h, theta, data, cfg, rng)
-            h = out.h_new
+            out = hmc_update(h, v, target, cfg, rng)
+            h, v = out.h_new, out.potential
             dh[i] = out.delta_h
             acc[i] = out.accepted
         p = float(np.mean(acc))

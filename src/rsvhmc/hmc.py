@@ -16,62 +16,69 @@ import numpy as np
 from . import model
 from .gibbs import PriorConfig, gibbs_sweep
 from .integrators import TrajectoryConfig, integrate
-from .model import PARAM_NAMES, ModelParams, ObservedSeries, PhaseState
+from .model import PARAM_NAMES, ModelParams, ObservedSeries
 
 
 @dataclass(frozen=True)
 class HmcOutcome:
     h_new: np.ndarray
+    potential: float  # V(h_new) under the update's target
     delta_h: float
     accepted: bool
 
 
 def hmc_update(
     h: np.ndarray,
-    theta: ModelParams,
-    data: ObservedSeries,
+    v: float,
+    target: model.LatentTarget,
     cfg: TrajectoryConfig,
     rng: np.random.Generator,
 ) -> HmcOutcome:
-    """One HMC update of the latent path: refresh momenta, integrate, accept/reject.
+    """One HMC update of the latent path at the theta of ``target``.
 
-    A trajectory that leaves float64 range (a non-finite change in H) counts
-    as a divergence: delta_h = +inf, rejected. ``h`` is never modified.
+    ``v`` is ``target.potential(h)``; the outcome carries V of the path it
+    returns, so a caller whose theta has not changed passes it to the next
+    update. Nothing is validated: ``h`` is a finite float64 path of the
+    series length. A trajectory that leaves float64 range (a non-finite
+    change in H) counts as a divergence: delta_h = +inf, rejected. ``h`` is
+    never modified.
     """
-    h = model._as_path(h)
-    model._check_match(h, data)
     p = rng.standard_normal(len(h))
-    target = model.LatentTarget(theta, data)
-    g = np.empty(len(h))
     # overflow and division by zero (exp(h) underflowing to 0 in the gradient)
     # only show up as a non-finite delta_h, checked once below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h0 = target.potential(h) + 0.5 * float(p @ p)
-        end = integrate(PhaseState(h, p), cfg, lambda x: target.grad_into(x, g))
-        delta_h = target.potential(end.h) + 0.5 * float(end.p @ end.p) - h0
+        h1, p1 = integrate(h, p, cfg, target.grad)
+        v1 = target.potential(h1)
+        delta_h = v1 + 0.5 * float(p1 @ p1) - (v + 0.5 * float(p @ p))
     if not math.isfinite(delta_h):
         # a divergence returns before the uniform is drawn
-        return HmcOutcome(h, math.inf, False)
+        return HmcOutcome(h, v, math.inf, False)
     u = rng.uniform()
     if delta_h <= 0.0 or u < math.exp(-delta_h):
-        return HmcOutcome(end.h, delta_h, True)
-    return HmcOutcome(h, delta_h, False)
+        return HmcOutcome(h1, v1, delta_h, True)
+    return HmcOutcome(h, v, delta_h, False)
 
 
-def default_init(
-    data: ObservedSeries, theta: ModelParams | None = None
-) -> tuple[ModelParams, np.ndarray]:
+def default_init(data: ObservedSeries) -> tuple[ModelParams, np.ndarray]:
     """Starting point: h from the observed log RV, theta from mild defaults."""
-    if theta is None:
-        theta = ModelParams(
-            phi=0.5,
-            mu=float(np.mean(data.ln_rv)),
-            xi=0.0,
-            sigma_eta2=0.1,
-            sigma_u2=0.1,
-        )
-    h0 = data.ln_rv.copy()
-    return theta, h0
+    theta = ModelParams(
+        phi=0.5,
+        mu=float(np.mean(data.ln_rv)),
+        xi=0.0,
+        sigma_eta2=0.1,
+        sigma_u2=0.1,
+    )
+    return theta, data.ln_rv.copy()
+
+
+def start_path(h, data: ObservedSeries) -> np.ndarray:
+    """A float64 copy of a starting path, refused unless it is 1-d, of the
+    series length and finite: the updates themselves validate nothing."""
+    h = model.as_path(h, data)
+    bad = np.flatnonzero(~np.isfinite(h))
+    if len(bad):
+        raise ValueError(f"starting path has a non-finite value at index {bad[0]}: {h[bad[0]]}")
+    return h.copy()
 
 
 @dataclass
@@ -108,7 +115,6 @@ def run_chain(
     rng: np.random.Generator,
     prior: PriorConfig | None = None,
     h_indices: Sequence[int] = (9,),
-    update_params: bool = True,
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = 5000,
     resume: bool = False,
@@ -127,7 +133,7 @@ def run_chain(
     if prior is None:
         prior = PriorConfig()
     theta, h = init
-    h = np.asarray(h, dtype=np.float64).copy()
+    h = start_path(h, data)
     h_indices = tuple(int(i) for i in h_indices)
     for i in h_indices:
         if not 0 <= i < data.n:
@@ -139,7 +145,7 @@ def run_chain(
     accepted = np.empty(n_keep, dtype=bool)
     records = {"draws": draws, "delta_h": delta_h, "accepted": accepted}
     fingerprint = _fingerprint(
-        data, init, cfg, n_burn, n_keep, prior, h_indices, update_params, rng.bit_generator.state
+        data, init, cfg, n_burn, n_keep, prior, h_indices, rng.bit_generator.state
     )
     start, n_accept, elapsed = 0, 0, 0.0
     if resume:
@@ -158,11 +164,12 @@ def run_chain(
     h_at = np.array(h_indices, dtype=np.intp)
     total = n_burn + n_keep
     for it in range(start, total):
-        outcome = hmc_update(h, theta, data, cfg, rng)
+        # theta moved in the last sweep, so V of the current path is recomputed
+        target = model.LatentTarget(theta, data)
+        outcome = hmc_update(h, target.potential(h), target, cfg, rng)
         h = outcome.h_new
         n_accept += int(outcome.accepted)
-        if update_params:
-            theta = gibbs_sweep(h, theta, data, prior, rng)
+        theta = gibbs_sweep(h, theta, data, prior, rng)
         if it >= n_burn:
             k = it - n_burn
             # in PARAM_NAMES order; a tuple of attributes is the cheapest per-draw write
@@ -199,12 +206,12 @@ def run_chain(
     )
 
 
-def _fingerprint(data, init, cfg, n_burn, n_keep, prior, h_indices, update_params, rng_state) -> str:
+def _fingerprint(data, init, cfg, n_burn, n_keep, prior, h_indices, rng_state) -> str:
     """sha256 of everything that determines the chain, the starting rng state included."""
     digest = hashlib.sha256()
     for arr in (data.y, data.ln_rv, init[1]):
         digest.update(np.asarray(arr, dtype=np.float64).tobytes())
-    settings = (init[0], cfg, n_burn, n_keep, prior, h_indices, update_params, rng_state)
+    settings = (init[0], cfg, n_burn, n_keep, prior, h_indices, rng_state)
     digest.update(repr(settings).encode())
     return digest.hexdigest()
 

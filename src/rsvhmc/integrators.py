@@ -23,8 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PhaseState
-
 # near-optimal error constant for the 2nd-order minimum-norm scheme
 DEFAULT_LAMBDA = 0.193183327
 
@@ -102,13 +100,15 @@ class TrajectoryConfig:
         return cls(scheme, total_length / n_steps, n_steps, lam)
 
 
-def integrate(state: PhaseState, cfg: TrajectoryConfig, force: Force) -> PhaseState:
-    """Apply the configured step n_steps times and return the final state.
+def integrate(
+    h: np.ndarray, p: np.ndarray, cfg: TrajectoryConfig, force: Force
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the configured step n_steps times and return the final (h, p).
 
-    ``state`` is left unchanged. ``force`` may return a buffer it reuses, but
-    must not keep the position array it is given.
+    ``h`` and ``p`` are left unchanged. ``force`` may return a buffer it
+    reuses, but must not keep the position array it is given.
     """
-    h, p = state.h.copy(), state.p.copy()
+    h, p = h.copy(), p.copy()
     tmp = np.empty_like(h)
     # drifts are not merged across steps, so n steps equal n one-step calls
     stages = [(drift * cfg.step_size, kick * cfg.step_size) for drift, kick in cfg.stages]
@@ -122,4 +122,4 @@ def integrate(state: PhaseState, cfg: TrajectoryConfig, force: Force) -> PhaseSt
             if kick:
                 p -= np.multiply(kick, force(h), out=tmp)
                 held = None
-    return PhaseState(h, p)
+    return h, p

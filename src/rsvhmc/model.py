@@ -98,24 +98,13 @@ class ObservedSeries:
         return len(self.y)
 
 
-@dataclass
-class PhaseState:
-    """Latent path h with conjugate momenta p."""
-
-    h: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=np.float64)
-        self.p = np.asarray(self.p, dtype=np.float64)
-        if self.h.shape != self.p.shape:
-            raise ValueError("h and p must have the same shape")
-
-
-def _as_path(h) -> np.ndarray:
+def as_path(h, data: ObservedSeries) -> np.ndarray:
+    """``h`` as float64, refused unless it is 1-d with one entry per observation."""
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1 or len(h) < 1:
-        raise ValueError("latent path must be a non-empty 1-d array")
+    if h.ndim != 1:
+        raise ValueError(f"latent path must be a 1-d array, got shape {h.shape}")
+    if len(h) != data.n:
+        raise ValueError(f"path length {len(h)} != series length {data.n}")
     return h
 
 
@@ -126,16 +115,12 @@ def _check_exp_range(h: np.ndarray):
         raise DomainError(f"exp(-h[{idx}]) overflows float64 (h={h[idx]})", index=idx)
 
 
-def _check_match(h: np.ndarray, data: ObservedSeries):
-    if len(h) != data.n:
-        raise ValueError(f"path length {len(h)} != series length {data.n}")
-
-
 class LatentTarget:
     """The potential of :func:`potential` and its gradient at one theta.
 
     Built once per theta, it holds the h-independent pieces of V and scratch
-    buffers reused from call to call. The gradient is folded into
+    buffers reused from call to call; the sampler passes it to every HMC
+    update at that theta. The gradient is folded into
 
         dV/dh = c + A h - (y^2/2) e^{-h},
 
@@ -169,6 +154,7 @@ class LatentTarget:
         self._site = np.empty(n)
         self._tmp = np.empty(n)
         self._resid = np.empty(n - 1)
+        self._grad = np.empty(n)
 
     def _return_terms(self, h: np.ndarray) -> np.ndarray:
         """(y_t^2/2) e^{-h_t}, in a scratch buffer."""
@@ -201,13 +187,13 @@ class LatentTarget:
         v += 0.5 * self.stationary * (h[0] - self.mu) ** 2
         return v + 0.5 * self.inv_se2 * float(r @ r)
 
-    def grad_into(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write dV/dh into ``out`` and return it.
+    def grad(self, h: np.ndarray) -> np.ndarray:
+        """dV/dh, in a buffer that the next call overwrites.
 
         exp(h) underflows to 0 below h = -745, where the division yields
         inf (or nan where y = 0); callers see that as a non-finite result.
         """
-        np.exp(h, out=out)
+        out = np.exp(h, out=self._grad)
         np.divide(self.half_y2, out, out=out)
         np.subtract(self.c, out, out=out)
         # "full" mode zero-pads both ends, so [1:-1] is A h with the interior diagonal
@@ -226,8 +212,7 @@ def potential(h, theta: ModelParams, data: ObservedSeries) -> float:
          + (1 - phi^2)(h_1 - mu)^2 / (2 sigma_eta2)
          + sum_{t<n} (h_{t+1} - mu - phi (h_t - mu))^2 / (2 sigma_eta2)
     """
-    h = _as_path(h)
-    _check_match(h, data)
+    h = as_path(h, data)
     _check_exp_range(h)
     target = LatentTarget(theta, data)
     v = target.potential(h)
@@ -240,26 +225,15 @@ def potential(h, theta: ModelParams, data: ObservedSeries) -> float:
 
 def grad_potential(h, theta: ModelParams, data: ObservedSeries) -> np.ndarray:
     """Componentwise derivative dV/dh_t of :func:`potential`."""
-    h = _as_path(h)
-    _check_match(h, data)
+    h = as_path(h, data)
     _check_exp_range(h)
     # above h = 709 exp(h) overflows to inf, and the return term is exactly -0
     with np.errstate(over="ignore"):
-        g = LatentTarget(theta, data).grad_into(h, np.empty(len(h)))
+        g = LatentTarget(theta, data).grad(h)
     if not np.all(np.isfinite(g)):
         idx = int(np.flatnonzero(~np.isfinite(g))[0])
         raise DomainError("gradient is non-finite", index=idx)
     return g
-
-
-def kinetic(p) -> float:
-    p = np.asarray(p, dtype=np.float64)
-    return 0.5 * float(np.sum(p**2))
-
-
-def hamiltonian(state: PhaseState, theta: ModelParams, data: ObservedSeries) -> float:
-    """H(p, h) = (1/2) sum p_i^2 + V(h)."""
-    return kinetic(state.p) + potential(state.h, theta, data)
 
 
 def joint_log_density(h, theta: ModelParams, data: ObservedSeries) -> float:

@@ -24,11 +24,11 @@ from rsvhmc.gibbs import (
 )
 from rsvhmc.hmc import default_init, hmc_update, run_chain
 from rsvhmc.integrators import Scheme, TrajectoryConfig, integrate
-from rsvhmc.model import ModelParams, ObservedSeries, PhaseState
+from rsvhmc.model import LatentTarget, ModelParams, ObservedSeries
 from rsvhmc.rv import hansen_lunde_c
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
-from conftest import fd_gradient, random_instance
+from conftest import fd_gradient, hamiltonian, random_instance
 from test_gibbs import ks_against_grid
 
 PAPER_MEANS = {"phi": 0.926, "mu": -0.97, "xi": 0.31, "sigma_eta2": 0.097, "sigma_u2": 0.203}
@@ -69,8 +69,11 @@ def equilibrated_h(study_dataset):
     cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 2.0, 0.2)
     rng = np.random.default_rng(11)
     h = ds.data.ln_rv - STUDY_PARAMS.xi
+    target = LatentTarget(STUDY_PARAMS, ds.data)
+    v = target.potential(h)
     for _ in range(400):
-        h = hmc_update(h, STUDY_PARAMS, ds.data, cfg, rng).h_new
+        out = hmc_update(h, v, target, cfg, rng)
+        h, v = out.h_new, out.potential
     return h
 
 
@@ -136,11 +139,11 @@ class TestCriterion2DhScaling:
             cfg = TrajectoryConfig.from_length(scheme, 2.0, dt)
             dh = []
             for _ in range(300):
-                start = PhaseState(equilibrated_h, rng.standard_normal(ds.data.n))
-                end = integrate(start, cfg, force)
+                p = rng.standard_normal(ds.data.n)
+                end = integrate(equilibrated_h, p, cfg, force)
                 dh.append(
-                    model.hamiltonian(end, STUDY_PARAMS, ds.data)
-                    - model.hamiltonian(start, STUDY_PARAMS, ds.data)
+                    hamiltonian(*end, STUDY_PARAMS, ds.data)
+                    - hamiltonian(equilibrated_h, p, STUDY_PARAMS, ds.data)
                 )
             rms.append(rms_dh(dh))
         slope = float(np.polyfit(np.log(grid), np.log(rms), 1)[0])
@@ -212,15 +215,15 @@ class TestCriterion6Exactness:
             for _ in range(10):
                 theta, h, data = random_instance(rng, 50)
                 force = lambda x: model.grad_potential(x, theta, data)
-                start = PhaseState(h, rng.standard_normal(50))
+                p = rng.standard_normal(50)
                 cfg = TrajectoryConfig(scheme, 0.12, 10)
-                fwd = integrate(start, cfg, force)
-                back = integrate(PhaseState(fwd.h, -fwd.p), cfg, force)
-                scale = np.maximum(np.abs(start.h), 1.0)
-                worst = max(worst, float(np.max(np.abs(back.h - start.h) / scale)))
+                fwd_h, fwd_p = integrate(h, p, cfg, force)
+                back_h, back_p = integrate(fwd_h, -fwd_p, cfg, force)
+                scale = np.maximum(np.abs(h), 1.0)
+                worst = max(worst, float(np.max(np.abs(back_h - h) / scale)))
                 worst = max(
                     worst,
-                    float(np.max(np.abs(-back.p - start.p) / np.maximum(np.abs(start.p), 1.0))),
+                    float(np.max(np.abs(-back_p - p) / np.maximum(np.abs(p), 1.0))),
                 )
         report("6 (reversibility)", worst < 1e-10, f"worst relative defect {worst:.2e}")
 
@@ -338,7 +341,8 @@ class TestCriterion7Samplers:
         draws = {name: np.empty(n_iter) for name in theta.names}
         for it in range(n_iter):
             data = ObservedSeries(y=y, ln_rv=ln_rv)
-            h = hmc_update(h, theta, data, cfg, rng).h_new
+            target = LatentTarget(theta, data)
+            h = hmc_update(h, target.potential(h), target, cfg, rng).h_new
             theta = gibbs_sweep(h, theta, data, prior, rng)
             try:
                 y_new, ln_rv_new = forward_data(h, theta)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,17 @@ class TestPosteriorSummary:
         (summary,) = posterior_summary({"a": col})
         assert summary.act is None
         assert "non-finite" in summary.note
+
+    @pytest.mark.parametrize("bad", [[math.inf], [math.inf, -math.inf], [math.nan]])
+    def test_non_finite_column_warns_nothing(self, bad):
+        col = np.random.default_rng(18).normal(size=2000)
+        col[3 : 3 + len(bad)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (summary,) = posterior_summary({"a": col})
+        assert summary.note == "series has non-finite values (nan or inf)"
+        assert summary.act is None
+        assert math.isnan(summary.mean) and math.isnan(summary.sd)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):

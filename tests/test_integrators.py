@@ -10,10 +10,11 @@ from rsvhmc.integrators import (
     TrajectoryConfig,
     integrate,
 )
-from rsvhmc.model import PhaseState, grad_potential, hamiltonian
+from rsvhmc.model import grad_potential
 
 from conftest import (
     CountingForce,
+    hamiltonian,
     integrate_by_stages,
     leapfrog_step,
     minimum_norm_step,
@@ -79,53 +80,52 @@ class TestConfig:
 
 class TestLeapfrog:
     def test_free_particle(self):
-        state = PhaseState(np.array([0.0]), np.array([1.0]))
-        out = leapfrog_step(state, 0.5, lambda h: np.zeros_like(h))
-        assert out.h[0] == pytest.approx(0.5)
-        assert out.p[0] == pytest.approx(1.0)
+        h, p = leapfrog_step(np.array([0.0]), np.array([1.0]), 0.5, lambda h: np.zeros_like(h))
+        assert h[0] == pytest.approx(0.5)
+        assert p[0] == pytest.approx(1.0)
 
     def test_harmonic_single_step(self):
         # expected values from the independent matrix composition
-        state = PhaseState(np.array([1.0]), np.array([0.0]))
-        out = leapfrog_step(state, 0.1, harmonic_force)
+        h, p = leapfrog_step(np.array([1.0]), np.array([0.0]), 0.1, harmonic_force)
         expected = leapfrog_matrix(0.1) @ np.array([1.0, 0.0])
-        assert out.h[0] == pytest.approx(expected[0], rel=1e-15)
-        assert out.p[0] == pytest.approx(expected[1], rel=1e-15)
-        assert out.h[0] == pytest.approx(1.0 - 0.1**2 / 2.0)
-        assert out.p[0] == pytest.approx(-0.1)
+        assert h[0] == pytest.approx(expected[0], rel=1e-15)
+        assert p[0] == pytest.approx(expected[1], rel=1e-15)
+        assert h[0] == pytest.approx(1.0 - 0.1**2 / 2.0)
+        assert p[0] == pytest.approx(-0.1)
 
     def test_reversibility_single_step(self, rng):
         theta, h, data = random_instance(rng, 10)
         force = lambda x: grad_potential(x, theta, data)
-        start = PhaseState(h, rng.normal(0.0, 1.0, 10))
-        fwd = leapfrog_step(start, 0.3, force)
-        back = leapfrog_step(PhaseState(fwd.h, -fwd.p), 0.3, force)
-        np.testing.assert_allclose(back.h, start.h, rtol=1e-12)
-        np.testing.assert_allclose(-back.p, start.p, rtol=1e-12)
+        p = rng.normal(0.0, 1.0, 10)
+        fwd_h, fwd_p = leapfrog_step(h, p, 0.3, force)
+        back_h, back_p = leapfrog_step(fwd_h, -fwd_p, 0.3, force)
+        np.testing.assert_allclose(back_h, h, rtol=1e-12)
+        np.testing.assert_allclose(-back_p, p, rtol=1e-12)
 
 
 class TestMinimumNorm:
     def test_free_particle_quarter_lambda(self):
-        state = PhaseState(np.array([0.0]), np.array([2.0]))
-        out = minimum_norm_step(state, 0.5, 0.25, lambda h: np.zeros_like(h))
-        assert out.h[0] == pytest.approx(1.0)
-        assert out.p[0] == pytest.approx(2.0)
+        free = lambda h: np.zeros_like(h)
+        h, p = minimum_norm_step(np.array([0.0]), np.array([2.0]), 0.5, 0.25, free)
+        assert h[0] == pytest.approx(1.0)
+        assert p[0] == pytest.approx(2.0)
 
     def test_harmonic_matches_matrix_composition(self):
-        state = PhaseState(np.array([1.0]), np.array([0.0]))
-        out = minimum_norm_step(state, 0.1, DEFAULT_LAMBDA, harmonic_force)
+        h, p = minimum_norm_step(
+            np.array([1.0]), np.array([0.0]), 0.1, DEFAULT_LAMBDA, harmonic_force
+        )
         expected = minimum_norm_matrix(0.1, DEFAULT_LAMBDA) @ np.array([1.0, 0.0])
-        assert out.h[0] == pytest.approx(expected[0], rel=1e-14)
-        assert out.p[0] == pytest.approx(expected[1], rel=1e-14)
+        assert h[0] == pytest.approx(expected[0], rel=1e-14)
+        assert p[0] == pytest.approx(expected[1], rel=1e-14)
 
     def test_reversibility_single_step(self, rng):
         theta, h, data = random_instance(rng, 10)
         force = lambda x: grad_potential(x, theta, data)
-        start = PhaseState(h, rng.normal(0.0, 1.0, 10))
-        fwd = minimum_norm_step(start, 0.3, DEFAULT_LAMBDA, force)
-        back = minimum_norm_step(PhaseState(fwd.h, -fwd.p), 0.3, DEFAULT_LAMBDA, force)
-        np.testing.assert_allclose(back.h, start.h, rtol=1e-12)
-        np.testing.assert_allclose(-back.p, start.p, rtol=1e-12)
+        p = rng.normal(0.0, 1.0, 10)
+        fwd_h, fwd_p = minimum_norm_step(h, p, 0.3, DEFAULT_LAMBDA, force)
+        back_h, back_p = minimum_norm_step(fwd_h, -fwd_p, 0.3, DEFAULT_LAMBDA, force)
+        np.testing.assert_allclose(back_h, h, rtol=1e-12)
+        np.testing.assert_allclose(-back_p, p, rtol=1e-12)
 
 
 class TestIntegrate:
@@ -133,59 +133,58 @@ class TestIntegrate:
     def test_single_step_equivalence(self, rng, scheme):
         theta, h, data = random_instance(rng, 6)
         force = lambda x: grad_potential(x, theta, data)
-        start = PhaseState(h, rng.normal(0.0, 1.0, 6))
+        p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(scheme, 0.2, 1)
-        via_integrate = integrate(start, cfg, force)
+        via_integrate = integrate(h, p, cfg, force)
         if scheme is Scheme.LEAPFROG2:
-            direct = leapfrog_step(start, 0.2, force)
+            direct = leapfrog_step(h, p, 0.2, force)
         else:
-            direct = minimum_norm_step(start, 0.2, cfg.lam, force)
-        np.testing.assert_array_equal(via_integrate.h, direct.h)
-        np.testing.assert_array_equal(via_integrate.p, direct.p)
+            direct = minimum_norm_step(h, p, 0.2, cfg.lam, force)
+        np.testing.assert_array_equal(via_integrate[0], direct[0])
+        np.testing.assert_array_equal(via_integrate[1], direct[1])
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_half_trajectories_compose(self, rng, scheme):
         theta, h, data = random_instance(rng, 6)
         force = lambda x: grad_potential(x, theta, data)
-        start = PhaseState(h, rng.normal(0.0, 1.0, 6))
-        full = integrate(start, TrajectoryConfig(scheme, 0.1, 8), force)
+        p = rng.normal(0.0, 1.0, 6)
+        full = integrate(h, p, TrajectoryConfig(scheme, 0.1, 8), force)
         half_cfg = TrajectoryConfig(scheme, 0.1, 4)
-        two_halves = integrate(integrate(start, half_cfg, force), half_cfg, force)
-        np.testing.assert_array_equal(full.h, two_halves.h)
-        np.testing.assert_array_equal(full.p, two_halves.p)
+        two_halves = integrate(*integrate(h, p, half_cfg, force), half_cfg, force)
+        np.testing.assert_array_equal(full[0], two_halves[0])
+        np.testing.assert_array_equal(full[1], two_halves[1])
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7])
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_shared_drift_products_match_stagewise_loop(self, rng, scheme, n_steps):
         theta, h, data = random_instance(rng, 6)
         force = lambda x: grad_potential(x, theta, data)
-        start = PhaseState(h, rng.normal(0.0, 1.0, 6))
+        p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(scheme, 0.1, n_steps)
-        shared = integrate(start, cfg, force)
-        reference = integrate_by_stages(start, cfg, force)
-        np.testing.assert_array_equal(shared.h, reference.h)
-        np.testing.assert_array_equal(shared.p, reference.p)
+        shared = integrate(h, p, cfg, force)
+        reference = integrate_by_stages(h, p, cfg, force)
+        np.testing.assert_array_equal(shared[0], reference[0])
+        np.testing.assert_array_equal(shared[1], reference[1])
 
     def test_unequal_adjacent_drifts_form_fresh_products(self, rng, monkeypatch):
         # the last drift (0.7) differs from the next step's first (0.3)
         monkeypatch.setitem(SPLITTINGS, Scheme.LEAPFROG2, lambda lam: ((0.3, 1.0), (0.7, 0.0)))
         theta, h, data = random_instance(rng, 6)
         force = lambda x: grad_potential(x, theta, data)
-        start = PhaseState(h, rng.normal(0.0, 1.0, 6))
+        p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(Scheme.LEAPFROG2, 0.1, 7)
-        shared = integrate(start, cfg, force)
-        reference = integrate_by_stages(start, cfg, force)
-        np.testing.assert_array_equal(shared.h, reference.h)
-        np.testing.assert_array_equal(shared.p, reference.p)
+        shared = integrate(h, p, cfg, force)
+        reference = integrate_by_stages(h, p, cfg, force)
+        np.testing.assert_array_equal(shared[0], reference[0])
+        np.testing.assert_array_equal(shared[1], reference[1])
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_full_period_harmonic_return(self, scheme):
-        start = PhaseState(np.array([1.0]), np.array([0.0]))
         errors = []
         for dt in (0.02, 0.01):
             cfg = TrajectoryConfig.from_length(scheme, 2.0 * math.pi, dt)
-            end = integrate(start, cfg, harmonic_force)
-            errors.append(abs(end.h[0] - 1.0) + abs(end.p[0]))
+            h, p = integrate(np.array([1.0]), np.array([0.0]), cfg, harmonic_force)
+            errors.append(abs(h[0] - 1.0) + abs(p[0]))
         assert errors[1] < errors[0]
         # second-order scheme: halving dt shrinks the error ~4x
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.3)
@@ -194,12 +193,12 @@ class TestIntegrate:
     def test_trajectory_reversibility(self, rng, scheme):
         theta, h, data = random_instance(rng, 20)
         force = lambda x: grad_potential(x, theta, data)
-        start = PhaseState(h, rng.normal(0.0, 1.0, 20))
+        p = rng.normal(0.0, 1.0, 20)
         cfg = TrajectoryConfig(scheme, 0.15, 12)
-        fwd = integrate(start, cfg, force)
-        back = integrate(PhaseState(fwd.h, -fwd.p), cfg, force)
-        np.testing.assert_allclose(back.h, start.h, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(-back.p, start.p, rtol=1e-10, atol=1e-12)
+        fwd_h, fwd_p = integrate(h, p, cfg, force)
+        back_h, back_p = integrate(fwd_h, -fwd_p, cfg, force)
+        np.testing.assert_allclose(back_h, h, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(-back_p, p, rtol=1e-10, atol=1e-12)
 
 
 class TestStructure:
@@ -209,9 +208,9 @@ class TestStructure:
     def test_force_evaluations_per_step(self, rng, scheme, evals):
         theta, h, data = random_instance(rng, 6)
         counter = CountingForce(lambda x: grad_potential(x, theta, data))
-        start = PhaseState(h, rng.normal(0.0, 1.0, 6))
+        p = rng.normal(0.0, 1.0, 6)
         n_steps = 7
-        integrate(start, TrajectoryConfig(scheme, 0.1, n_steps), counter)
+        integrate(h, p, TrajectoryConfig(scheme, 0.1, n_steps), counter)
         assert counter.calls == evals * n_steps
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -221,12 +220,12 @@ class TestStructure:
         force = lambda x: grad_potential(x, theta, data)
 
         def step(z):
-            state = PhaseState(np.array([z[0]]), np.array([z[1]]))
+            h, p = np.array([z[0]]), np.array([z[1]])
             if scheme is Scheme.LEAPFROG2:
-                out = leapfrog_step(state, 0.2, force)
+                h, p = leapfrog_step(h, p, 0.2, force)
             else:
-                out = minimum_norm_step(state, 0.2, DEFAULT_LAMBDA, force)
-            return np.array([out.h[0], out.p[0]])
+                h, p = minimum_norm_step(h, p, 0.2, DEFAULT_LAMBDA, force)
+            return np.array([h[0], p[0]])
 
         z0 = np.array([h[0], 0.7])
         eps = 1e-6
@@ -249,11 +248,9 @@ class TestStructure:
             cfg = TrajectoryConfig.from_length(scheme, 1.0, dt)
             dh = []
             for _ in range(200):
-                start = PhaseState(h, rng.normal(0.0, 1.0, 100))
-                end = integrate(start, cfg, force)
-                dh.append(
-                    hamiltonian(end, theta, data) - hamiltonian(start, theta, data)
-                )
+                p = rng.normal(0.0, 1.0, 100)
+                end = integrate(h, p, cfg, force)
+                dh.append(hamiltonian(*end, theta, data) - hamiltonian(h, p, theta, data))
             rms.append(math.sqrt(np.mean(np.square(dh))))
         slope = np.polyfit(np.log(step_sizes), np.log(rms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)

@@ -9,14 +9,12 @@ from rsvhmc.model import (
     LatentTarget,
     ModelParams,
     ObservedSeries,
-    PhaseState,
     grad_potential,
-    hamiltonian,
     joint_log_density,
     potential,
 )
 
-from conftest import fd_gradient, random_instance
+from conftest import fd_gradient, hamiltonian, random_instance
 
 
 def oracle_log_density(h, theta, data):
@@ -171,10 +169,10 @@ class TestLatentTarget:
     def test_gradient_matches_residual_form(self, rng, n):
         theta, h, data = random_instance(rng, n)
         target = LatentTarget(theta, data)
-        out = np.empty(n)
+        out = target.grad(h)
         for _ in range(20):
             x = h + rng.normal(0.0, 0.5, n)
-            assert target.grad_into(x, out) is out
+            assert target.grad(x) is out  # one buffer, overwritten by each call
             expected, scale = grad_by_residuals(x, theta, data)
             np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-13 * scale)
 
@@ -185,7 +183,7 @@ class TestLatentTarget:
         theta, h, data = random_instance(rng, n)
         theta = theta.replace(phi=phi, sigma_eta2=sigma_eta2)
         expected, scale = grad_by_residuals(h, theta, data)
-        got = LatentTarget(theta, data).grad_into(h, np.empty(n))
+        got = LatentTarget(theta, data).grad(h)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * scale)
 
     def test_gradient_where_exp_h_overflows(self):
@@ -200,19 +198,17 @@ class TestLatentTarget:
 class TestHamiltonian:
     def test_zero_momenta(self, rng):
         theta, h, data = random_instance(rng, 8)
-        state = PhaseState(h, np.zeros(8))
-        assert hamiltonian(state, theta, data) == potential(h, theta, data)
+        assert hamiltonian(h, np.zeros(8), theta, data) == potential(h, theta, data)
 
     def test_unit_momenta(self, rng):
         theta, h, data = random_instance(rng, 8)
-        state = PhaseState(h, np.ones(8))
         expected = 8 / 2.0 + potential(h, theta, data)
-        assert hamiltonian(state, theta, data) == pytest.approx(expected)
+        assert hamiltonian(h, np.ones(8), theta, data) == pytest.approx(expected)
 
     def test_kinetic_potential_split(self, rng):
         theta, h, data = random_instance(rng, 8)
         p = rng.normal(0.0, 1.0, 8)
-        total = hamiltonian(PhaseState(h, p), theta, data)
+        total = hamiltonian(h, p, theta, data)
         assert total == pytest.approx(0.5 * np.sum(p**2) + potential(h, theta, data))
 
 
