@@ -234,6 +234,8 @@ def stepsize_scan(
         raise ValueError("grid must be non-empty")
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if n_warm < 0:
+        raise ValueError(f"n_warm must be >= 0, got {n_warm}")
     h = start_path(default_init(data)[1] if h0 is None else h0, data)
     rng = np.random.default_rng(seed)
     cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt, lam) for dt in grid]

@@ -1,4 +1,4 @@
-"""Full-conditional samplers for the five model parameters.
+"""Full-conditional draws for the five model parameters.
 
 Conventions:
 * flat (improper) priors for mu and xi by default, with optional Gaussian
@@ -6,10 +6,16 @@ Conventions:
 * flat prior on (-1, 1) for phi;
 * inverse-gamma priors for both variances.
 
-phi is updated by Metropolis-Hastings within Gibbs: the AR-regression
-Gaussian proposal absorbs the transition quadratic exactly, leaving only
-the stationary-distribution factor sqrt(1 - phi^2) exp(...) in the
-acceptance ratio.
+Given the latent path, every conditional depends on h and ln RV only through
+a few sums. ``path_sums`` takes them in one pass over the arrays; the draws
+are scalar arithmetic on those sums and on the parameters drawn so far. The
+series needs n >= 2.
+
+phi is updated by Metropolis-Hastings within Gibbs with the AR-regression
+Gaussian proposal of Kim, Shephard & Chib (Rev. Econ. Stud. 65 (1998) 361).
+It absorbs the transition quadratic exactly, leaving only the
+stationary-distribution factor sqrt(1 - phi^2) exp(...) in the acceptance
+ratio.
 """
 
 from __future__ import annotations
@@ -39,16 +45,59 @@ class PriorConfig:
 
     def __post_init__(self):
         for name in ("a_eta", "b_eta", "a_u", "b_u"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         for name in ("mu_prior", "xi_prior"):
             pr = getattr(self, name)
-            if pr is not None and pr[1] <= 0.0:
-                raise ValueError(f"{name} variance must be > 0")
+            if pr is not None and not (
+                math.isfinite(pr[0]) and math.isfinite(pr[1]) and pr[1] > 0.0
+            ):
+                raise ValueError(f"{name} needs a finite mean and a finite variance > 0, got {pr}")
 
 
-def _inverse_gamma(shape: float, scale: float, rng: np.random.Generator) -> float:
-    return scale / rng.gamma(shape)
+@dataclass(frozen=True)
+class PathSums:
+    """What the draws need of (h, ln RV). phi and sigma_eta2 use the AR
+    regression of g[1:] on g[:-1], g = h - h[0], about the two segments' own
+    means: no sum cancels when |mu| is large or |phi| is near 1, and h[:-1]
+    equal to mu gives an exactly zero regression denominator."""
+
+    n: int
+    mean: float  # mean(h)
+    first: float  # h[0]
+    last: float  # h[-1]
+    lag_mean: float  # mean(g[:-1])
+    lead_mean: float  # mean(g[1:])
+    lag_ss: float  # sum (g[:-1] - lag_mean)^2
+    slope: float  # least-squares slope of g[1:] on g[:-1]; 0 when lag_ss is 0
+    resid_ss: float  # sum of that regression's squared residuals
+    e_mean: float  # mean(ln RV - h)
+    e_ss: float  # sum (ln RV - h - e_mean)^2
+
+
+def path_sums(h: np.ndarray, data: ObservedSeries) -> PathSums:
+    """The sums every parameter draw needs, in one pass over h and ln RV."""
+    n = len(h)
+    if n < 2:
+        raise ValueError(f"the parameter sweep needs n >= 2, got {n}")
+    first = float(h[0])
+    mean = float(h.sum()) / n
+    g = h - first
+    lag_mean = float(g[:-1].sum()) / (n - 1)
+    lead_mean = float(g[1:].sum()) / (n - 1)
+    a = g[:-1] - lag_mean
+    b = g[1:] - lead_mean
+    lag_ss = float(a @ a)
+    slope = float(b @ a) / lag_ss if lag_ss > 0.0 else 0.0
+    b -= slope * a
+    e = data.ln_rv - h
+    e_mean = float(e.sum()) / n
+    e -= e_mean
+    return PathSums(
+        n, mean, first, float(h[-1]), lag_mean, lead_mean, lag_ss, slope, float(b @ b),
+        e_mean, float(e @ e),
+    )
 
 
 def _posterior_normal(
@@ -65,126 +114,67 @@ def _posterior_normal(
     return rng.normal(mean, math.sqrt(1.0 / prec))
 
 
-def sample_xi(
-    h: np.ndarray,
-    theta: ModelParams,
-    data: ObservedSeries,
-    rng: np.random.Generator,
-    prior: tuple[float, float] | None = None,
+def sample_phi(
+    s: PathSums, phi: float, mu: float, sigma_eta2: float, rng: np.random.Generator
 ) -> float:
-    """xi | rest ~ N(mean(ln RV - h), sigma_u2 / n) under the flat prior."""
-    n = data.n
-    resid_mean = float(np.mean(data.ln_rv - h))
-    return _posterior_normal(resid_mean, theta.sigma_u2 / n, prior, rng)
+    """One MH-within-Gibbs update of phi; returns the new (or retained) value.
 
-
-def sigma_u2_conditional(
-    h: np.ndarray, theta: ModelParams, data: ObservedSeries, prior: PriorConfig
-) -> tuple[float, float]:
-    """(shape, scale) of the inverse-gamma conditional for sigma_u2."""
-    resid = data.ln_rv - theta.xi - h
-    shape = data.n / 2.0 + prior.a_u
-    scale = prior.b_u + 0.5 * float(np.sum(resid**2))
-    return shape, scale
-
-
-def sample_sigma_u2(
-    h: np.ndarray,
-    theta: ModelParams,
-    data: ObservedSeries,
-    prior: PriorConfig,
-    rng: np.random.Generator,
-) -> float:
-    shape, scale = sigma_u2_conditional(h, theta, data, prior)
-    return _inverse_gamma(shape, scale, rng)
-
-
-def sigma_eta2_conditional(
-    h: np.ndarray, theta: ModelParams, prior: PriorConfig
-) -> tuple[float, float]:
-    """(shape, scale) of the inverse-gamma conditional for sigma_eta2."""
-    n = len(h)
-    ss = (1.0 - theta.phi**2) * (h[0] - theta.mu) ** 2
-    if n > 1:
-        r = h[1:] - theta.mu - theta.phi * (h[:-1] - theta.mu)
-        ss += float(np.sum(r**2))
-    return n / 2.0 + prior.a_eta, prior.b_eta + 0.5 * ss
-
-
-def sample_sigma_eta2(
-    h: np.ndarray,
-    theta: ModelParams,
-    prior: PriorConfig,
-    rng: np.random.Generator,
-) -> float:
-    shape, scale = sigma_eta2_conditional(h, theta, prior)
-    return _inverse_gamma(shape, scale, rng)
-
-
-def mu_conditional(h: np.ndarray, theta: ModelParams) -> tuple[float, float]:
-    """Flat-prior conditional mu | rest ~ N(m, sigma_eta2 / A); returns (m, A)."""
-    n = len(h)
-    phi = theta.phi
-    a = (1.0 - phi**2) + (n - 1) * (1.0 - phi) ** 2
-    m = (1.0 - phi**2) * h[0]
-    if n > 1:
-        m += (1.0 - phi) * float(np.sum(h[1:] - phi * h[:-1]))
-    return m / a, a
+    Raises ValueError when the regression denominator sum (h[:-1] - mu)^2 is 0.
+    """
+    m = mu - s.first
+    da, db = m - s.lag_mean, m - s.lead_mean
+    denom = s.lag_ss + (s.n - 1) * da * da
+    if not denom > 0.0:
+        raise ValueError("phi's regression denominator sum (h[:-1] - mu)^2 is zero")
+    phi_hat = (s.slope * s.lag_ss + (s.n - 1) * da * db) / denom
+    prop = rng.normal(phi_hat, math.sqrt(sigma_eta2 / denom))
+    if abs(prop) >= 1.0:
+        return phi
+    # log g(prop) - log g(phi), g(x) = sqrt(1 - x^2) exp(-(1 - x^2) (h[0] - mu)^2 / (2 sigma_eta2))
+    log_ratio = 0.5 * math.log((1.0 - prop * prop) / (1.0 - phi * phi)) + (
+        prop * prop - phi * phi
+    ) * (m * m / (2.0 * sigma_eta2))
+    if log_ratio >= 0.0 or math.log(rng.uniform()) < log_ratio:
+        return prop
+    return phi
 
 
 def sample_mu(
-    h: np.ndarray,
-    theta: ModelParams,
-    rng: np.random.Generator,
-    prior: tuple[float, float] | None = None,
+    s: PathSums, phi: float, sigma_eta2: float, prior: PriorConfig, rng: np.random.Generator
 ) -> float:
-    m, a = mu_conditional(h, theta)
-    return _posterior_normal(m, theta.sigma_eta2 / a, prior, rng)
+    """mu | rest ~ N(m, sigma_eta2 / A) under the flat prior: A = 1 - phi^2 + (n - 1)(1 - phi)^2,
+    m = mean(h) + phi (1 - phi)(h[0] + h[-1] - 2 mean(h)) / A."""
+    a = (1.0 - phi * phi) + (s.n - 1) * (1.0 - phi) ** 2
+    m = s.mean + phi * (1.0 - phi) * ((s.first - s.mean) + (s.last - s.mean)) / a
+    return _posterior_normal(m, sigma_eta2 / a, prior.mu_prior, rng)
 
 
-def _stationary_factor_log(phi: float, h1: float, mu: float, se2: float) -> float:
-    # log g(phi): the part of the conditional not captured by the AR proposal
-    return 0.5 * math.log(1.0 - phi**2) - (1.0 - phi**2) * (h1 - mu) ** 2 / (2.0 * se2)
+def sample_xi(s: PathSums, sigma_u2: float, prior: PriorConfig, rng: np.random.Generator) -> float:
+    """xi | rest ~ N(mean(ln RV - h), sigma_u2 / n) under the flat prior."""
+    return _posterior_normal(s.e_mean, sigma_u2 / s.n, prior.xi_prior, rng)
 
 
-def sample_phi(
-    h: np.ndarray,
-    theta: ModelParams,
-    rng: np.random.Generator,
+def sample_sigma_eta2(
+    s: PathSums, phi: float, mu: float, prior: PriorConfig, rng: np.random.Generator
 ) -> float:
-    """One MH-within-Gibbs update of phi; returns the new (or retained) value."""
-    mu, se2 = theta.mu, theta.sigma_eta2
-    d = h - mu
-    denom = float(np.sum(d[:-1] ** 2))
-    if denom <= 0.0:
-        # degenerate path: fall back to an independence uniform proposal
-        prop = rng.uniform(-1.0, 1.0)
-        log_ratio = _log_phi_conditional(prop, h, mu, se2) - _log_phi_conditional(
-            theta.phi, h, mu, se2
-        )
-        if math.log(rng.uniform()) < log_ratio:
-            return prop
-        return theta.phi
-    phi_hat = float(np.sum(d[1:] * d[:-1])) / denom
-    s = math.sqrt(se2 / denom)
-    prop = rng.normal(phi_hat, s)
-    if abs(prop) >= 1.0:
-        return theta.phi
-    log_ratio = _stationary_factor_log(prop, h[0], mu, se2) - _stationary_factor_log(
-        theta.phi, h[0], mu, se2
+    """sigma_eta2 | rest ~ IG(n/2 + a_eta, b_eta + SS/2), SS the AR(1) quadratic form."""
+    m = mu - s.first
+    da, db = m - s.lag_mean, m - s.lead_mean
+    # stationary term, then sum (h[t+1] - mu - phi (h[t] - mu))^2 as regression
+    # residuals plus the slope and mean offsets
+    ss = (
+        (1.0 - phi * phi) * m * m
+        + s.resid_ss
+        + s.lag_ss * (phi - s.slope) ** 2
+        + (s.n - 1) * (db - phi * da) ** 2
     )
-    if log_ratio >= 0.0 or math.log(rng.uniform()) < log_ratio:
-        return prop
-    return theta.phi
+    return (prior.b_eta + 0.5 * ss) / rng.gamma(s.n / 2.0 + prior.a_eta)
 
 
-def _log_phi_conditional(phi: float, h: np.ndarray, mu: float, se2: float) -> float:
-    """Unnormalized log full conditional of phi on (-1, 1)."""
-    if abs(phi) >= 1.0:
-        return -math.inf
-    r = h[1:] - mu - phi * (h[:-1] - mu)
-    quad = (1.0 - phi**2) * (h[0] - mu) ** 2 + float(np.sum(r**2))
-    return 0.5 * math.log(1.0 - phi**2) - quad / (2.0 * se2)
+def sample_sigma_u2(s: PathSums, xi: float, prior: PriorConfig, rng: np.random.Generator) -> float:
+    """sigma_u2 | rest ~ IG(n/2 + a_u, b_u + sum (ln RV - xi - h)^2 / 2)."""
+    ss = s.e_ss + s.n * (xi - s.e_mean) ** 2
+    return (prior.b_u + 0.5 * ss) / rng.gamma(s.n / 2.0 + prior.a_u)
 
 
 def gibbs_sweep(
@@ -195,9 +185,10 @@ def gibbs_sweep(
     rng: np.random.Generator,
 ) -> ModelParams:
     """One full parameter sweep in the fixed order phi, mu, xi, sigma_eta2, sigma_u2."""
-    theta = theta.replace(phi=sample_phi(h, theta, rng))
-    theta = theta.replace(mu=sample_mu(h, theta, rng, prior.mu_prior))
-    theta = theta.replace(xi=sample_xi(h, theta, data, rng, prior.xi_prior))
-    theta = theta.replace(sigma_eta2=sample_sigma_eta2(h, theta, prior, rng))
-    theta = theta.replace(sigma_u2=sample_sigma_u2(h, theta, data, prior, rng))
-    return theta
+    s = path_sums(h, data)
+    phi = sample_phi(s, theta.phi, theta.mu, theta.sigma_eta2, rng)
+    mu = sample_mu(s, phi, theta.sigma_eta2, prior, rng)
+    xi = sample_xi(s, theta.sigma_u2, prior, rng)
+    sigma_eta2 = sample_sigma_eta2(s, phi, mu, prior, rng)
+    sigma_u2 = sample_sigma_u2(s, xi, prior, rng)
+    return ModelParams(phi, mu, xi, sigma_eta2, sigma_u2)

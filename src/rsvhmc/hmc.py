@@ -126,6 +126,8 @@ def run_chain(
     ``checkpoint_every`` iterations; ``resume`` continues from that file and
     refuses one written for other data, settings or seed.
     """
+    if data.n < 2:
+        raise ValueError(f"need a series of n >= 2 observations, got {data.n}")
     if n_burn < 0 or n_keep < 1:
         raise ValueError("need n_burn >= 0 and n_keep >= 1")
     if checkpoint_every < 1:

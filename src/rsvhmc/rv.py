@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+COVERAGE_THRESHOLD = 0.5
+
 
 class RvError(ValueError):
     pass
@@ -123,12 +125,10 @@ def hansen_lunde_c(y, rv) -> float:
     return float(np.sum((y - np.mean(y)) ** 2)) / total
 
 
-def build_series(
-    days, grid_seconds: int, coverage_threshold: float = 0.5
-) -> BuildReport:
+def build_series(days, grid_seconds: int) -> BuildReport:
     """Assemble aligned (date, y, RV) series from per-day tick data.
 
-    Days with zero RV or grid coverage below ``coverage_threshold`` are
+    Days with zero RV or grid coverage below ``COVERAGE_THRESHOLD`` are
     dropped and reported; duplicate dates are an error.
     """
     days = list(days)
@@ -146,7 +146,7 @@ def build_series(
     for day in ordered:
         try:
             cov = grid_coverage(day, grid_seconds)
-            if cov < coverage_threshold:
+            if cov < COVERAGE_THRESHOLD:
                 rejected.append(
                     RejectedDay(day.date, f"grid coverage {cov:.2f} below threshold")
                 )

@@ -78,6 +78,62 @@ def hmc_update_recomputing(h, theta, data, cfg, rng) -> HmcOutcome:
     return HmcOutcome(h, v, delta_h, False)
 
 
+def gibbs_sweep_by_residuals(h, theta, data, prior, rng) -> ModelParams:
+    """Reference for ``gibbs_sweep``: every conditional rebuilds its residuals
+    from h, with the same rng calls in the same order."""
+    phi, mu, xi, se2, su2 = theta.phi, theta.mu, theta.xi, theta.sigma_eta2, theta.sigma_u2
+    n = len(h)
+
+    def normal(mean, var, gauss_prior):
+        if gauss_prior is not None:
+            m0, v0 = gauss_prior
+            prec = 1.0 / var + 1.0 / v0
+            mean, var = (mean / var + m0 / v0) / prec, 1.0 / prec
+        return rng.normal(mean, math.sqrt(var))
+
+    d = h - mu
+    denom = float(np.sum(d[:-1] ** 2))
+    prop = rng.normal(float(np.sum(d[1:] * d[:-1])) / denom, math.sqrt(se2 / denom))
+    if abs(prop) < 1.0:
+        # stationary factor log g(x) = log sqrt(1 - x^2) - (1 - x^2)(h_1 - mu)^2 / (2 se2)
+        log_g = [0.5 * math.log(1 - x**2) - (1 - x**2) * d[0] ** 2 / (2 * se2) for x in (prop, phi)]
+        log_ratio = log_g[0] - log_g[1]
+        if log_ratio >= 0.0 or math.log(rng.uniform()) < log_ratio:
+            phi = prop
+    a = (1 - phi**2) + (n - 1) * (1 - phi) ** 2
+    m = (1 - phi**2) * h[0] + (1 - phi) * float(np.sum(h[1:] - phi * h[:-1]))
+    mu = normal(m / a, se2 / a, prior.mu_prior)
+    xi = normal(float(np.mean(data.ln_rv - h)), su2 / n, prior.xi_prior)
+    r = h[1:] - mu - phi * (h[:-1] - mu)
+    ss = (1 - phi**2) * (h[0] - mu) ** 2 + float(np.sum(r**2))
+    se2 = (prior.b_eta + 0.5 * ss) / rng.gamma(n / 2.0 + prior.a_eta)
+    ss = float(np.sum((data.ln_rv - xi - h) ** 2))
+    su2 = (prior.b_u + 0.5 * ss) / rng.gamma(n / 2.0 + prior.a_u)
+    return ModelParams(phi, mu, xi, float(se2), su2)
+
+
+class RecordingRng:
+    """Stands in for a Generator to read a draw's conditional parameters:
+    ``normal`` returns ``normal_value`` (its loc when None), ``gamma`` returns 1
+    so an inverse-gamma draw equals its scale, ``uniform`` returns 0.5."""
+
+    def __init__(self, normal_value=None):
+        self.normal_value = normal_value
+        self.calls = []
+
+    def normal(self, loc, scale):
+        self.calls.append(("normal", loc, scale))
+        return loc if self.normal_value is None else self.normal_value
+
+    def gamma(self, shape):
+        self.calls.append(("gamma", shape))
+        return 1.0
+
+    def uniform(self):
+        self.calls.append(("uniform",))
+        return 0.5
+
+
 def integrate_by_stages(h, p, cfg: TrajectoryConfig, force: Force):
     """Reference for ``integrate``: every drift forms its own product with p."""
     h, p = h.copy(), p.copy()

@@ -16,6 +16,7 @@ from rsvhmc.diagnostics import integrated_act, rms_dh, stepsize_scan
 from rsvhmc.gibbs import (
     PriorConfig,
     gibbs_sweep,
+    path_sums,
     sample_mu,
     sample_phi,
     sample_sigma_eta2,
@@ -244,10 +245,11 @@ class TestCriterion7Samplers:
         rng0 = np.random.default_rng(5150)
         theta, h, data = random_instance(rng0, 5)
         prior = PriorConfig()
+        sums = path_sums(h, data)
         pvals = {}
 
         rng = np.random.default_rng(701)
-        draws = np.array([sample_xi(h, theta, data, rng) for _ in range(n_draws)])
+        draws = np.array([sample_xi(sums, theta.sigma_u2, prior, rng) for _ in range(n_draws)])
         center = float(np.mean(data.ln_rv - h))
         sd = math.sqrt(theta.sigma_u2 / data.n)
         grid = np.linspace(center - 8 * sd, center + 8 * sd, 4001)
@@ -257,7 +259,9 @@ class TestCriterion7Samplers:
         pvals["xi"] = ks_against_grid(draws, grid, logd)
 
         rng = np.random.default_rng(702)
-        draws = np.array([sample_mu(h, theta, rng) for _ in range(n_draws)])
+        draws = np.array(
+            [sample_mu(sums, theta.phi, theta.sigma_eta2, prior, rng) for _ in range(n_draws)]
+        )
         grid = np.linspace(draws.min() - 1, draws.max() + 1, 4001)
 
         def mu_logd(mu):
@@ -270,7 +274,7 @@ class TestCriterion7Samplers:
 
         rng = np.random.default_rng(703)
         draws = np.array(
-            [sample_sigma_u2(h, theta, data, prior, rng) for _ in range(n_draws)]
+            [sample_sigma_u2(sums, theta.xi, prior, rng) for _ in range(n_draws)]
         )
         resid2 = float(np.sum((data.ln_rv - theta.xi - h) ** 2))
         lg = np.linspace(np.log(draws.min()) - 1, np.log(draws.max()) + 1, 4001)
@@ -279,7 +283,7 @@ class TestCriterion7Samplers:
 
         rng = np.random.default_rng(714)
         draws = np.array(
-            [sample_sigma_eta2(h, theta, prior, rng) for _ in range(n_draws)]
+            [sample_sigma_eta2(sums, theta.phi, theta.mu, prior, rng) for _ in range(n_draws)]
         )
         ss = (1 - theta.phi**2) * (h[0] - theta.mu) ** 2 + float(
             np.sum((h[1:] - theta.mu - theta.phi * (h[:-1] - theta.mu)) ** 2)
@@ -289,11 +293,11 @@ class TestCriterion7Samplers:
         pvals["sigma_eta2"] = ks_against_grid(np.log(draws), lg, logd)
 
         rng = np.random.default_rng(705)
-        cur = theta
+        cur = theta.phi
         draws = np.empty(n_draws)
         for i in range(n_draws):
-            cur = cur.replace(phi=sample_phi(h, cur, rng))
-            draws[i] = cur.phi
+            cur = sample_phi(sums, cur, theta.mu, theta.sigma_eta2, rng)
+            draws[i] = cur
         grid = np.linspace(-1 + 1e-9, 1 - 1e-9, 8001)
 
         def phi_logd(phi):

@@ -134,6 +134,28 @@ class TestEstimate:
         )
         assert rc == 1
 
+    def test_series_of_one_refused(self, tmp_path):
+        data = tmp_path / "one.csv"
+        chainio.write_table(data, ["t", "y", "ln_rv"], [(1, 0.1, -1.0)])
+        out = tmp_path / "o"
+        rc = run(
+            "estimate", "--data", data, "--out", out, "--record-h", "1",
+            "--n-burn", "0", "--n-keep", "5",
+        )
+        assert rc == 1
+        assert not (out / "chain.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--a-eta", "--b-eta", "--a-u", "--b-u"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_prior_refused_before_sampling(self, tmp_path, capsys, flag, value):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "20", "--seed", "1")
+        out = tmp_path / "o"
+        rc = run("estimate", "--data", data, "--out", out, "--n-keep", "5", flag, value)
+        assert rc == 1
+        assert not out.exists()
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
 
 SPRUNG = []
 
@@ -264,6 +286,14 @@ class TestScan:
             "--sigma-eta2", "0.1", "--sigma-u2", "0.2",
         )
         assert rc == 0
+
+    def test_negative_n_warm_refused(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "20")
+        out = tmp_path / "s.csv"
+        rc = run("scan", "--data", data, "--out", out, "--grid", "0.3", "--n-warm", "-5")
+        assert rc == 1
+        assert not out.exists()
 
     def test_bad_grid(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -215,6 +215,11 @@ class TestStepsizeScan:
         with pytest.raises(ValueError):
             stepsize_scan(ds.data, ds.theta_true, Scheme.LEAPFROG2, [])
 
+    def test_negative_n_warm_rejected(self):
+        ds = simulate(STUDY_PARAMS, 50, seed=14)
+        with pytest.raises(ValueError, match="n_warm"):
+            stepsize_scan(ds.data, ds.theta_true, Scheme.LEAPFROG2, [0.2], n_warm=-5)
+
 
 class TestPosteriorSummary:
     def test_basic_moments(self):
