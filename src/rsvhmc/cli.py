@@ -80,7 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--total-length", type=float, default=2.0)
     scan.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)
     scan.add_argument("--n-traj", type=int, default=2000)
-    scan.add_argument("--n-warm", type=int, default=500)
+    scan.add_argument(
+        "--n-warm",
+        type=int,
+        default=500,
+        help="warm-up trajectories, run once before the first grid point at the "
+        "smallest step size (after up to 100 at a fifth of it)",
+    )
     scan.add_argument("--seed", type=int, default=0)
     for name in PARAM_NAMES:
         scan.add_argument(f"--{name.replace('_', '-')}", type=float, help="fixed parameter for the scan (default: dataset metadata)")
@@ -297,7 +303,9 @@ def cmd_scan(args) -> int:
         {
             "scheme": scheme.value,
             "total_length": args.total_length,
+            "lambda": args.lam,
             "n_traj": args.n_traj,
+            "n_warm": args.n_warm,
             "seed": args.seed,
             "optimum.step_size": opt.step_size,
             "optimum.acceptance": opt.acceptance,

@@ -224,10 +224,13 @@ def stepsize_scan(
 ) -> ScanResult:
     """Acceptance, RMS delta-H and efficiency over a grid of step sizes.
 
-    Each grid point runs ``n_warm`` discarded trajectories followed by
-    ``n_traj`` measured ones, at fixed theta. The latent path and its
-    potential carry over between trajectories and grid points, so later
-    points start equilibrated.
+    At fixed theta the target does not depend on the step size, so the
+    chain is warmed once, before the first measured point: ``min(100,
+    n_warm)`` pre-warm trajectories at a fifth of the grid's smallest step
+    size, then ``n_warm`` at that step size, which accepts most. Each grid
+    point, in the given order, then runs only its ``n_traj`` measured
+    trajectories; the latent path and its potential carry over between
+    trajectories and grid points.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -241,18 +244,21 @@ def stepsize_scan(
     cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt, lam) for dt in grid]
     target = model.LatentTarget(theta, data)
     v = target.potential(h)
+    # warm at the smallest step (the first on a tie), which accepts most, so
+    # an oversized step anywhere in the grid cannot stall the warm-up
+    warm = min(cfgs, key=lambda c: c.step_size)
+    # short pre-warm at a fifth of the step size: a rough starting path can
+    # have uniformly large delta-H at the target step, stalling the warm-up
+    pre_cfg = TrajectoryConfig(scheme, warm.step_size / 5.0, warm.n_steps, warm.lam)
+    for _ in range(min(100, n_warm)):
+        out = hmc_update(h, v, target, pre_cfg, rng)
+        h, v = out.h_new, out.potential
+    for _ in range(n_warm):
+        out = hmc_update(h, v, target, warm, rng)
+        h, v = out.h_new, out.potential
     rows = []
     warnings = []
     for cfg in cfgs:
-        # short pre-warm at a fifth of the step size: a rough starting path can
-        # have uniformly large delta-H at the target step, stalling the warm-up
-        pre_cfg = TrajectoryConfig(scheme, cfg.step_size / 5.0, cfg.n_steps, cfg.lam)
-        for _ in range(min(100, n_warm)):
-            out = hmc_update(h, v, target, pre_cfg, rng)
-            h, v = out.h_new, out.potential
-        for _ in range(n_warm):
-            out = hmc_update(h, v, target, cfg, rng)
-            h, v = out.h_new, out.potential
         dh = np.empty(n_traj)
         acc = np.empty(n_traj, dtype=bool)
         for i in range(n_traj):

@@ -137,9 +137,12 @@ def run_chain(
     theta, h = init
     h = start_path(h, data)
     h_indices = tuple(int(i) for i in h_indices)
-    for i in h_indices:
+    for k, i in enumerate(h_indices):
         if not 0 <= i < data.n:
             raise ValueError(f"recorded h index {i} out of range for n={data.n}")
+        if i in h_indices[:k]:
+            # each index is one column, h_<i + 1>, of the chain's records
+            raise ValueError(f"recorded h index {i} (column h_{i + 1}) given twice")
 
     n_par = len(PARAM_NAMES)
     draws = np.empty((n_par + len(h_indices), n_keep))

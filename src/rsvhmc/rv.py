@@ -74,8 +74,9 @@ class BuildReport:
     reordered: bool = False
 
 
-def _grid_sample(day: IntradayDay, grid_seconds: int) -> np.ndarray:
-    """Previous-tick log prices on a regular grid anchored at the session open."""
+def _grid_sample(day: IntradayDay, grid_seconds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Previous-tick log prices on a regular grid anchored at the session
+    open, and the grid itself."""
     t0, t1 = day.timestamps[0], day.timestamps[-1]
     grid = np.arange(t0, t1 + 1e-9, float(grid_seconds))
     if len(grid) < 2:
@@ -129,8 +130,11 @@ def build_series(days, grid_seconds: int) -> BuildReport:
     """Assemble aligned (date, y, RV) series from per-day tick data.
 
     Days with zero RV or grid coverage below ``COVERAGE_THRESHOLD`` are
-    dropped and reported; duplicate dates are an error.
+    dropped and reported; duplicate dates and a grid spacing below one
+    second are errors.
     """
+    if grid_seconds < 1:
+        raise RvError("grid_seconds must be >= 1")
     days = list(days)
     if not days:
         raise RvError("no days supplied")

@@ -32,6 +32,9 @@ from rsvhmc.synth import STUDY_PARAMS, simulate
 from conftest import fd_gradient, hamiltonian, random_instance
 from test_gibbs import ks_against_grid
 
+# minutes of chains and scans: `pytest -m "not slow"` leaves this module out
+pytestmark = pytest.mark.slow
+
 PAPER_MEANS = {"phi": 0.926, "mu": -0.97, "xi": 0.31, "sigma_eta2": 0.097, "sigma_u2": 0.203}
 PAPER_SDS = {"phi": 0.007, "mu": 0.10, "xi": 0.03, "sigma_eta2": 0.006, "sigma_u2": 0.010}
 TRUE = STUDY_PARAMS.as_dict()

@@ -125,6 +125,17 @@ class TestEstimate:
         assert rc == 1
         assert not (tmp_path / "o" / "chain.csv").exists()
 
+    def test_duplicate_record_h(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "20", "--seed", "1")
+        rc = run(
+            "estimate", "--data", data, "--out", tmp_path / "o",
+            "--n-keep", "5", "--record-h", "1,1",
+        )
+        assert rc == 1
+        assert not (tmp_path / "o" / "chain.csv").exists()
+        assert "h_1" in capsys.readouterr().err
+
     def test_checkpoint_every_zero_is_validation_error(self, tmp_path):
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "20", "--seed", "1")
@@ -259,7 +270,8 @@ class TestScan:
         out = tmp_path / "scan.csv"
         rc = run(
             "scan", "--data", data, "--out", out, "--grid", "0.2,0.4", "--scheme", "LeapFrog",
-            "--n-traj", "100", "--n-warm", "20", "--total-length", "1.0",
+            "--n-traj", "100", "--n-warm", "20", "--total-length", "1.0", "--lam", "0.2",
+            "--seed", "6",
         )
         assert rc == 0
         cols = chainio.read_columns(out)
@@ -270,6 +282,12 @@ class TestScan:
         meta = chainio.read_metadata(out)
         assert "optimum.step_size" in meta
         assert meta["scheme"] == "2lfi"  # the parsed scheme, not the alias given
+        # every setting of the scan, so it can be rerun from its metadata
+        assert meta["total_length"] == "1.0"
+        assert meta["lambda"] == "0.2"
+        assert meta["n_traj"] == "100"
+        assert meta["n_warm"] == "20"
+        assert meta["seed"] == "6"
 
     def test_theta_from_flags_when_no_metadata(self, tmp_path):
         data = tmp_path / "bare.csv"
@@ -326,6 +344,16 @@ class TestRvBuild:
         meta = chainio.read_metadata(out)
         assert len(meta["hansen_lunde_c"].split(".")[1]) == 4
         assert len(meta["neg_log_c"].split(".")[1]) == 4
+
+    @pytest.mark.parametrize("grid_seconds", ["0", "-60"])
+    def test_grid_below_one_second_refused(self, tmp_path, capsys, grid_seconds):
+        ticks = tmp_path / "ticks.csv"
+        self._tick_file(ticks)
+        out = tmp_path / "series.csv"
+        rc = run("rv-build", "--ticks", ticks, "--out", out, f"--grid-seconds={grid_seconds}")
+        assert rc == 1
+        assert not out.exists()
+        assert "grid_seconds must be >= 1" in capsys.readouterr().err
 
     def test_daily_passthrough(self, tmp_path):
         daily = tmp_path / "daily.csv"

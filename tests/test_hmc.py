@@ -236,6 +236,15 @@ class TestRunChain:
                 h_indices=(40,),
             )
 
+    def test_duplicate_h_index_rejected(self):
+        ds = small_dataset(n=40)
+        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
+        with pytest.raises(ValueError, match=r"h index 9 \(column h_10\) given twice"):
+            run_chain(
+                ds.data, default_init(ds.data), cfg, 0, 1, np.random.default_rng(0),
+                h_indices=(9, 0, 9),
+            )
+
     def test_checkpoint_every_below_one_rejected(self, tmp_path):
         ds = small_dataset(n=40)
         cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
@@ -422,8 +431,29 @@ class TestOperationCount:
             ds.data, ds.theta_true, Scheme.LEAPFROG2, grid,
             total_length=1.0, n_traj=n_traj, n_warm=n_warm, seed=4,
         )
-        assert len(updates) == len(grid) * (min(100, n_warm) + n_warm + n_traj)
+        assert len(updates) == min(100, n_warm) + n_warm + len(grid) * n_traj
         assert len(builds) == 1
+
+    def test_stepsize_scan_warms_once_at_the_smallest_step(self, monkeypatch):
+        ds = small_dataset(n=40)
+        steps = []
+        original = rsvhmc.diagnostics.hmc_update
+
+        def recording(h, v, target, cfg, rng):
+            steps.append(cfg.step_size)
+            return original(h, v, target, cfg, rng)
+
+        monkeypatch.setattr(rsvhmc.diagnostics, "hmc_update", recording)
+        grid, n_traj, n_warm = [0.4, 0.2, 0.1], 20, 30
+        # a length of 2 makes every grid step exact (5, 10 and 20 steps)
+        stepsize_scan(
+            ds.data, ds.theta_true, Scheme.LEAPFROG2, grid,
+            total_length=2.0, n_traj=n_traj, n_warm=n_warm, seed=4,
+        )
+        expected = [0.02] * min(100, n_warm) + [0.1] * n_warm
+        for dt in grid:
+            expected += [dt] * n_traj
+        assert steps == pytest.approx(expected, rel=1e-12)
 
     def test_run_chain(self, monkeypatch):
         ds = small_dataset(n=40)

@@ -139,6 +139,18 @@ class TestBuildSeries:
         with pytest.raises(RvError, match="all days rejected"):
             build_series(days, 60)
 
+    @pytest.mark.parametrize("grid_seconds", [0, -60])
+    def test_grid_below_one_second_refused_before_any_day_is_read(self, grid_seconds):
+        read = []
+
+        def days():
+            read.append(D1)
+            yield make_day(D1, [0, 60, 120], [0.0, 0.01, 0.03])
+
+        with pytest.raises(RvError, match=r"^grid_seconds must be >= 1$"):
+            build_series(days(), grid_seconds)
+        assert read == []
+
     def test_open_to_close_return(self):
         day = make_day(D1, [0, 30, 60], [0.5, 0.9, 0.2])
         assert daily_return(day) == pytest.approx(-0.3)
