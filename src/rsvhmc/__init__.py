@@ -1,12 +1,10 @@
 """Bayesian estimation of the realized stochastic volatility model by HMC."""
 
 from .model import (
-    DomainError,
     LatentTarget,
     ModelParams,
     ObservedSeries,
     grad_potential,
-    joint_log_density,
     potential,
 )
 from .integrators import (

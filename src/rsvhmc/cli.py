@@ -368,6 +368,9 @@ def cmd_rv_build(args) -> int:
         for name in ("date", "y", "rv"):
             if name not in cols:
                 raise ValidationError(f"{args.daily}: missing column {name!r}")
+        for name in ("y", "rv"):
+            if cols[name].dtype.kind != "f":
+                raise ValidationError(f"{args.daily}: column {name!r} has a non-numeric cell")
         rvs = cols["rv"]
         if np.any(rvs <= 0.0):
             raise ValidationError(f"{args.daily}: rv must be strictly positive")

@@ -47,10 +47,6 @@ class ScanResult:
     force_evals_per_step: int
     warnings: tuple[str, ...] = ()
 
-    @property
-    def cost_normalized_optimum(self) -> float:
-        return self.optimum.efficiency / self.force_evals_per_step
-
 
 def acf(series, max_lag: int) -> np.ndarray:
     """Sample autocorrelation function at lags 0..max_lag.

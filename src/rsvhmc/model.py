@@ -19,24 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# exp(x) overflows float64 just above x = 709; keep a little margin
-_EXP_LIMIT = 700.0
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-class DomainError(ValueError):
-    """An input drove the model density out of float64 range.
-
-    ``index`` is the time index (0-based) of the offending term when it
-    can be attributed to a single observation, else None.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
 PARAM_NAMES = ("phi", "mu", "xi", "sigma_eta2", "sigma_u2")
 
 
@@ -61,15 +43,8 @@ class ModelParams:
         if self.sigma_u2 <= 0.0:
             raise ValueError(f"sigma_u2 must be > 0, got {self.sigma_u2}")
 
-    def replace(self, **changes) -> "ModelParams":
-        return dataclasses.replace(self, **changes)
-
     def as_dict(self) -> dict[str, float]:
         return dataclasses.asdict(self)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return PARAM_NAMES
 
 
 @dataclass(frozen=True)
@@ -108,15 +83,16 @@ def as_path(h, data: ObservedSeries) -> np.ndarray:
     return h
 
 
-def _check_exp_range(h: np.ndarray):
-    # e^{-h_t} appears in the return likelihood; refuse silent overflow
-    if np.any(-h > _EXP_LIMIT):
-        idx = int(np.argmax(-h))
-        raise DomainError(f"exp(-h[{idx}]) overflows float64 (h={h[idx]})", index=idx)
-
-
 class LatentTarget:
-    """The potential of :func:`potential` and its gradient at one theta.
+    """The potential V(h) and its gradient at one theta.
+
+    V is the negative log conditional posterior of h, up to an h-independent
+    constant:
+
+        V(h) = sum_t [ h_t/2 + (y_t^2/2) e^{-h_t} ]
+             + sum_t (ln RV_t - xi - h_t)^2 / (2 sigma_u2)
+             + (1 - phi^2)(h_1 - mu)^2 / (2 sigma_eta2)
+             + sum_{t<n} (h_{t+1} - mu - phi (h_t - mu))^2 / (2 sigma_eta2)
 
     Built once per theta, it holds the h-independent pieces of V and scratch
     buffers reused from call to call; the sampler passes it to every HMC
@@ -181,7 +157,7 @@ class LatentTarget:
         return site
 
     def potential(self, h: np.ndarray) -> float:
-        """V(h) as defined in :func:`potential`."""
+        """V(h), in the residual form above."""
         v = float(self._site_terms(h).sum())
         r = self._transitions(h)
         v += 0.5 * self.stationary * (h[0] - self.mu) ** 2
@@ -205,49 +181,12 @@ class LatentTarget:
 
 
 def potential(h, theta: ModelParams, data: ObservedSeries) -> float:
-    """Negative log conditional posterior of h, up to an h-independent constant.
-
-    V(h) = sum_t [ h_t/2 + (y_t^2/2) e^{-h_t} ]
-         + sum_t (ln RV_t - xi - h_t)^2 / (2 sigma_u2)
-         + (1 - phi^2)(h_1 - mu)^2 / (2 sigma_eta2)
-         + sum_{t<n} (h_{t+1} - mu - phi (h_t - mu))^2 / (2 sigma_eta2)
-    """
-    h = as_path(h, data)
-    _check_exp_range(h)
-    target = LatentTarget(theta, data)
-    v = target.potential(h)
-    if not math.isfinite(v):
-        bad = np.flatnonzero(~np.isfinite(target._site_terms(h)))
-        idx = int(bad[0]) if len(bad) else None
-        raise DomainError("potential is non-finite", index=idx)
-    return v
+    """V(h) through a fresh :class:`LatentTarget`; only the path's shape is checked."""
+    return LatentTarget(theta, data).potential(as_path(h, data))
 
 
 def grad_potential(h, theta: ModelParams, data: ObservedSeries) -> np.ndarray:
-    """Componentwise derivative dV/dh_t of :func:`potential`."""
-    h = as_path(h, data)
-    _check_exp_range(h)
+    """dV/dh through a fresh :class:`LatentTarget`; only the path's shape is checked."""
     # above h = 709 exp(h) overflows to inf, and the return term is exactly -0
     with np.errstate(over="ignore"):
-        g = LatentTarget(theta, data).grad(h)
-    if not np.all(np.isfinite(g)):
-        idx = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise DomainError("gradient is non-finite", index=idx)
-    return g
-
-
-def joint_log_density(h, theta: ModelParams, data: ObservedSeries) -> float:
-    """Exact log joint density of (y, ln RV, h), all constants included.
-
-    This is ``-potential`` plus the Gaussian normalizers that V drops; it is
-    used by sampler validation, never in the HMC hot loop.
-    """
-    n = data.n
-    se2, su2 = theta.sigma_eta2, theta.sigma_u2
-    # returns y_t ~ N(0, e^{h_t}) and measurements ln RV_t ~ N(xi + h_t, sigma_u2)
-    log_norm = 0.5 * n * (2.0 * _LOG_2PI + math.log(su2))
-    # stationary h_1 ~ N(mu, sigma_eta2 / (1 - phi^2))
-    log_norm += 0.5 * (_LOG_2PI + math.log(se2 / (1.0 - theta.phi**2)))
-    # transitions h_{t+1} ~ N(mu + phi (h_t - mu), sigma_eta2)
-    log_norm += 0.5 * (n - 1) * (_LOG_2PI + math.log(se2))
-    return -potential(h, theta, data) - log_norm
+        return LatentTarget(theta, data).grad(as_path(h, data))

@@ -55,6 +55,9 @@ class RvSeries:
         y = np.asarray(self.y, dtype=np.float64)
         if not (len(self.dates) == len(rv) == len(y)):
             raise RvError("dates, rv and y must be aligned")
+        for prev, date in zip(self.dates, self.dates[1:]):
+            if date <= prev:
+                raise RvError(f"dates must be strictly increasing: {date} follows {prev}")
         if np.any(rv <= 0.0):
             raise RvError("rv must be strictly positive for retained days")
         object.__setattr__(self, "rv", rv)
@@ -71,7 +74,6 @@ class RejectedDay:
 class BuildReport:
     series: RvSeries
     rejected: tuple[RejectedDay, ...]
-    reordered: bool = False
 
 
 def _grid_sample(day: IntradayDay, grid_seconds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +146,6 @@ def build_series(days, grid_seconds: int) -> BuildReport:
             raise RvError(f"duplicate date {d.date}")
         seen[d.date] = 1
     ordered = sorted(days, key=lambda d: d.date)
-    reordered = [d.date for d in ordered] != [d.date for d in days]
 
     dates, rvs, ys, rejected = [], [], [], []
     for day in ordered:
@@ -168,4 +169,4 @@ def build_series(days, grid_seconds: int) -> BuildReport:
     if not dates:
         raise RvError("all days rejected: " + "; ".join(r.reason for r in rejected))
     series = RvSeries(dates=tuple(dates), rv=np.array(rvs), y=np.array(ys))
-    return BuildReport(series=series, rejected=tuple(rejected), reordered=reordered)
+    return BuildReport(series=series, rejected=tuple(rejected))

@@ -55,10 +55,10 @@ class CountingForce:
         return self.force(h)
 
 
-def hamiltonian(h, p, theta: ModelParams, data: ObservedSeries) -> float:
-    """H(h, p) = (1/2) sum p_i^2 + V(h), with V validated by ``model.potential``."""
+def hamiltonian(h, p, target: model.LatentTarget) -> float:
+    """H(h, p) = (1/2) sum p_i^2 + V(h), with V from ``target.potential``."""
     kinetic = 0.5 * float(np.sum(np.asarray(p, dtype=np.float64) ** 2))
-    return kinetic + model.potential(h, theta, data)
+    return kinetic + target.potential(h)
 
 
 def hmc_update_recomputing(h, theta, data, cfg, rng) -> HmcOutcome:

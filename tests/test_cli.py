@@ -374,6 +374,36 @@ class TestRvBuild:
         c = float(chainio.read_metadata(out)["hansen_lunde_c_exact"])
         np.testing.assert_allclose(cols["rv_adj"], c * cols["rv"], rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "dates,message",
+        [
+            (("2024-01-02", "2024-01-02", "2024-01-03"), "2024-01-02 follows 2024-01-02"),
+            (("2024-01-03", "2024-01-02", "2024-01-04"), "2024-01-02 follows 2024-01-03"),
+        ],
+        ids=["repeated", "out_of_order"],
+    )
+    def test_daily_dates_must_increase(self, tmp_path, capsys, dates, message):
+        daily = tmp_path / "daily.csv"
+        rows = zip(dates, (0.01, -0.02, 0.005), (0.0002, 0.0003, 0.0001))
+        chainio.write_table(daily, ["date", "y", "rv"], rows)
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--daily", daily, "--out", out) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["y", "rv"])
+    def test_daily_non_numeric_cell_refused(self, tmp_path, capsys, column):
+        daily = tmp_path / "daily.csv"
+        cells = {"y": ["0.01", "-0.02"], "rv": ["0.0002", "0.0003"]}
+        cells[column][1] = "abc"
+        dates = ("2024-01-02", "2024-01-03")
+        lines = ["date,y,rv"] + [",".join(row) for row in zip(dates, cells["y"], cells["rv"])]
+        daily.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--daily", daily, "--out", out) == 1
+        assert not out.exists()
+        assert f"column {column!r}" in capsys.readouterr().err
+
     def test_requires_exactly_one_input(self, tmp_path):
         assert run("rv-build", "--out", tmp_path / "o.csv") == 1
 

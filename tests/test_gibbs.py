@@ -17,7 +17,7 @@ from rsvhmc.gibbs import (
 )
 from rsvhmc.hmc import default_init, run_chain
 from rsvhmc.integrators import Scheme, TrajectoryConfig
-from rsvhmc.model import ModelParams, ObservedSeries
+from rsvhmc.model import PARAM_NAMES, ModelParams, ObservedSeries
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
 from conftest import RecordingRng, gibbs_sweep_by_residuals, random_instance
@@ -276,7 +276,7 @@ class TestAgainstResidualSweep:
             got[k], want[k] = list(a.as_dict().values()), list(b.as_dict().values())
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         rel = np.max(np.abs(got - want), axis=0) / np.max(np.abs(want), axis=0)
-        assert np.all(rel <= 1e-12), dict(zip(a.names, rel))
+        assert np.all(rel <= 1e-12), dict(zip(PARAM_NAMES, rel))
 
     def test_study_path(self):
         ds = simulate(STUDY_PARAMS, 4000, seed=2024)

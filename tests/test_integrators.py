@@ -10,7 +10,7 @@ from rsvhmc.integrators import (
     TrajectoryConfig,
     integrate,
 )
-from rsvhmc.model import grad_potential
+from rsvhmc.model import LatentTarget
 
 from conftest import (
     CountingForce,
@@ -95,7 +95,7 @@ class TestLeapfrog:
 
     def test_reversibility_single_step(self, rng):
         theta, h, data = random_instance(rng, 10)
-        force = lambda x: grad_potential(x, theta, data)
+        force = LatentTarget(theta, data).grad
         p = rng.normal(0.0, 1.0, 10)
         fwd_h, fwd_p = leapfrog_step(h, p, 0.3, force)
         back_h, back_p = leapfrog_step(fwd_h, -fwd_p, 0.3, force)
@@ -120,7 +120,7 @@ class TestMinimumNorm:
 
     def test_reversibility_single_step(self, rng):
         theta, h, data = random_instance(rng, 10)
-        force = lambda x: grad_potential(x, theta, data)
+        force = LatentTarget(theta, data).grad
         p = rng.normal(0.0, 1.0, 10)
         fwd_h, fwd_p = minimum_norm_step(h, p, 0.3, DEFAULT_LAMBDA, force)
         back_h, back_p = minimum_norm_step(fwd_h, -fwd_p, 0.3, DEFAULT_LAMBDA, force)
@@ -132,7 +132,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_single_step_equivalence(self, rng, scheme):
         theta, h, data = random_instance(rng, 6)
-        force = lambda x: grad_potential(x, theta, data)
+        force = LatentTarget(theta, data).grad
         p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(scheme, 0.2, 1)
         via_integrate = integrate(h, p, cfg, force)
@@ -146,7 +146,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_half_trajectories_compose(self, rng, scheme):
         theta, h, data = random_instance(rng, 6)
-        force = lambda x: grad_potential(x, theta, data)
+        force = LatentTarget(theta, data).grad
         p = rng.normal(0.0, 1.0, 6)
         full = integrate(h, p, TrajectoryConfig(scheme, 0.1, 8), force)
         half_cfg = TrajectoryConfig(scheme, 0.1, 4)
@@ -158,7 +158,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_shared_drift_products_match_stagewise_loop(self, rng, scheme, n_steps):
         theta, h, data = random_instance(rng, 6)
-        force = lambda x: grad_potential(x, theta, data)
+        force = LatentTarget(theta, data).grad
         p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(scheme, 0.1, n_steps)
         shared = integrate(h, p, cfg, force)
@@ -170,7 +170,7 @@ class TestIntegrate:
         # the last drift (0.7) differs from the next step's first (0.3)
         monkeypatch.setitem(SPLITTINGS, Scheme.LEAPFROG2, lambda lam: ((0.3, 1.0), (0.7, 0.0)))
         theta, h, data = random_instance(rng, 6)
-        force = lambda x: grad_potential(x, theta, data)
+        force = LatentTarget(theta, data).grad
         p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(Scheme.LEAPFROG2, 0.1, 7)
         shared = integrate(h, p, cfg, force)
@@ -192,7 +192,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_trajectory_reversibility(self, rng, scheme):
         theta, h, data = random_instance(rng, 20)
-        force = lambda x: grad_potential(x, theta, data)
+        force = LatentTarget(theta, data).grad
         p = rng.normal(0.0, 1.0, 20)
         cfg = TrajectoryConfig(scheme, 0.15, 12)
         fwd_h, fwd_p = integrate(h, p, cfg, force)
@@ -207,7 +207,7 @@ class TestStructure:
     )
     def test_force_evaluations_per_step(self, rng, scheme, evals):
         theta, h, data = random_instance(rng, 6)
-        counter = CountingForce(lambda x: grad_potential(x, theta, data))
+        counter = CountingForce(LatentTarget(theta, data).grad)
         p = rng.normal(0.0, 1.0, 6)
         n_steps = 7
         integrate(h, p, TrajectoryConfig(scheme, 0.1, n_steps), counter)
@@ -217,7 +217,7 @@ class TestStructure:
     def test_volume_preservation(self, rng, scheme):
         # single-site instance: 2-dimensional phase space, numeric Jacobian
         theta, h, data = random_instance(rng, 1)
-        force = lambda x: grad_potential(x, theta, data)
+        force = LatentTarget(theta, data).grad
 
         def step(z):
             h, p = np.array([z[0]]), np.array([z[1]])
@@ -241,7 +241,7 @@ class TestStructure:
     def test_delta_h_scales_quadratically(self, scheme, rng):
         # RMS of delta-H over random momenta should scale as dt^2
         theta, h, data = random_instance(rng, 100)
-        force = lambda x: grad_potential(x, theta, data)
+        target = LatentTarget(theta, data)
         step_sizes = [0.02, 0.04, 0.08]
         rms = []
         for dt in step_sizes:
@@ -249,8 +249,8 @@ class TestStructure:
             dh = []
             for _ in range(200):
                 p = rng.normal(0.0, 1.0, 100)
-                end = integrate(h, p, cfg, force)
-                dh.append(hamiltonian(*end, theta, data) - hamiltonian(h, p, theta, data))
+                end = integrate(h, p, cfg, target.grad)
+                dh.append(hamiltonian(*end, target) - hamiltonian(h, p, target))
             rms.append(math.sqrt(np.mean(np.square(dh))))
         slope = np.polyfit(np.log(step_sizes), np.log(rms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rsvhmc.rv import (
-    BuildReport,
     IntradayDay,
     RvError,
+    RvSeries,
     build_series,
     daily_return,
     daily_rv,
@@ -89,6 +89,13 @@ class TestHansenLunde:
             hansen_lunde_c([1.0, 2.0], [1.0, -1.0])
 
 
+class TestRvSeries:
+    @pytest.mark.parametrize("dates", [(D1, D1), (D2, D1)], ids=["repeated", "out_of_order"])
+    def test_dates_must_increase(self, dates):
+        with pytest.raises(RvError, match="strictly increasing"):
+            RvSeries(dates=dates, rv=[1e-4, 2e-4], y=[0.01, -0.01])
+
+
 class TestBuildSeries:
     def test_single_day_hand_values(self):
         day = make_day(D1, [0, 60, 120], [0.0, 0.01, 0.03])
@@ -105,7 +112,6 @@ class TestBuildSeries:
             make_day(D1, [0, 60], [0.0, 0.02]),
         ]
         report = build_series(days, 60)
-        assert report.reordered
         assert report.series.dates == (D1, D2)
 
     def test_duplicate_dates_rejected(self):
