@@ -8,7 +8,8 @@ Commands:
     diagnose   recompute posterior summaries from an existing chain file
 
 A JSON config file (--config) supplies defaults; explicit flags override.
-Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Values are checked by the library call that uses them. Exit codes: 0 success,
+1 validation error (bad inputs or flags, a missing input file), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -28,16 +29,19 @@ from .diagnostics import posterior_summary, stepsize_scan
 from .gibbs import PriorConfig
 from .hmc import default_init, run_chain
 from .integrators import DEFAULT_LAMBDA, Scheme, TrajectoryConfig
-from .model import PARAM_NAMES, ModelParams, ObservedSeries
+from .model import PARAM_NAMES, ModelParams
 from .synth import STUDY_N, STUDY_PARAMS, simulate
 
 
-class ValidationError(ValueError):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError (exit 1); subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rsvhmc")
+    parser = _Parser(prog="rsvhmc")
     parser.add_argument("--config", type=Path, help="JSON file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -111,9 +115,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     try:
         defaults = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
+        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(defaults, dict):
-        raise ValidationError(f"config {args.config} must be a JSON object")
+        raise ValueError(f"config {args.config} must be a JSON object")
     # config supplies defaults; explicit flags win because we re-parse with
     # the config values installed as subcommand defaults
     cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
@@ -125,7 +129,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         sub.set_defaults(**{k: v for k, v in cleaned.items() if k in dests})
     unknown = sorted(set(cleaned) - known)
     if unknown:
-        raise ValidationError(f"config {args.config}: unknown keys {', '.join(unknown)}")
+        raise ValueError(f"config {args.config}: unknown keys {', '.join(unknown)}")
     return parser.parse_args(argv)
 
 
@@ -138,15 +142,13 @@ def _parse_theta(args, meta: dict[str, str] | None) -> ModelParams:
         elif meta is not None and f"theta_true.{name}" in meta:
             vals[name] = float(meta[f"theta_true.{name}"])
         else:
-            raise ValidationError(
+            raise ValueError(
                 f"parameter {name} not given and not present in dataset metadata"
             )
     return ModelParams(**vals)
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 2:
-        raise ValidationError("--n must be >= 2")
     theta = ModelParams(**{name: getattr(args, name) for name in PARAM_NAMES})
     ds = simulate(theta, args.n, args.seed)
     meta = {f"theta_true.{k}": v for k, v in theta.as_dict().items()}
@@ -159,40 +161,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_series(path: Path) -> ObservedSeries:
-    if not path.exists():
-        raise ValidationError(f"data file {path} does not exist")
-    try:
-        return chainio.read_series(path)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _parse_record_h(spec: str, n: int) -> tuple[int, ...]:
-    try:
-        indices = tuple(int(tok) - 1 for tok in str(spec).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValidationError(f"bad --record-h value {spec!r}") from exc
-    for i in indices:
-        if not 0 <= i < n:
-            raise ValidationError(f"--record-h index {i + 1} out of range for n={n}")
-    return indices
-
-
 def cmd_estimate(args) -> int:
-    data = _load_series(args.data)
-    if args.n_burn < 0 or args.n_keep < 1:
-        raise ValidationError("need --n-burn >= 0 and --n-keep >= 1")
+    data = chainio.read_series(args.data)
     scheme = Scheme.parse(args.scheme)
     if args.n_steps is not None:
         cfg = TrajectoryConfig(scheme, args.step_size, args.n_steps, args.lam)
     else:
         cfg = TrajectoryConfig.from_length(scheme, args.total_length, args.step_size, args.lam)
     prior = PriorConfig(a_eta=args.a_eta, b_eta=args.b_eta, a_u=args.a_u, b_u=args.b_u)
-    h_indices = _parse_record_h(args.record_h, data.n)
+    try:
+        h_indices = tuple(int(tok) - 1 for tok in str(args.record_h).split(",") if tok.strip())
+    except ValueError as exc:
+        raise ValueError(f"bad --record-h value {args.record_h!r}") from exc
 
+    # no mkdir: run_chain refuses bad settings before its first checkpoint and
+    # every writer creates the directory, so a refused run leaves no --out
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.npz"
     result = run_chain(
         data,
@@ -267,13 +251,11 @@ def _write_summary(path: Path, cols: dict[str, np.ndarray], min_samples: int = 1
 
 
 def cmd_scan(args) -> int:
-    data = _load_series(args.data)
+    data = chainio.read_series(args.data)
     try:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValidationError(f"bad --grid value {args.grid!r}") from exc
-    if not grid or not all(math.isfinite(g) and g > 0 for g in grid):
-        raise ValidationError("--grid needs finite positive step sizes")
+        raise ValueError(f"bad --grid value {args.grid!r}") from exc
     meta = None
     try:
         meta = chainio.read_metadata(args.data)
@@ -326,17 +308,17 @@ def _read_ticks(path: Path) -> list[rvmod.IntradayDay]:
     by_day: dict[dt.date, list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip().lower() for c in header[:2]] != ["timestamp", "price"]:
-            raise ValidationError(f"{path}: expected header 'timestamp,price'")
+            raise ValueError(f"{path}: expected header 'timestamp,price'")
         for lineno, row in enumerate(reader, start=2):
             try:
                 stamp = dt.datetime.fromisoformat(row[0])
                 price = float(row[1])
             except (ValueError, IndexError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad tick row {row!r}") from exc
+                raise ValueError(f"{path}:{lineno}: bad tick row {row!r}") from exc
             if price <= 0.0:
-                raise ValidationError(f"{path}:{lineno}: price must be > 0")
+                raise ValueError(f"{path}:{lineno}: price must be > 0")
             seconds = (
                 stamp - dt.datetime.combine(stamp.date(), dt.time.min, stamp.tzinfo)
             ).total_seconds()
@@ -351,36 +333,28 @@ def _read_ticks(path: Path) -> list[rvmod.IntradayDay]:
 
 def cmd_rv_build(args) -> int:
     if (args.ticks is None) == (args.daily is None):
-        raise ValidationError("give exactly one of --ticks or --daily")
+        raise ValueError("give exactly one of --ticks or --daily")
     if args.ticks is not None:
-        if not args.ticks.exists():
-            raise ValidationError(f"{args.ticks} does not exist")
-        days = _read_ticks(args.ticks)
-        try:
-            report = rvmod.build_series(days, args.grid_seconds)
-        except rvmod.RvError as exc:
-            raise ValidationError(str(exc)) from exc
+        report = rvmod.build_series(_read_ticks(args.ticks), args.grid_seconds)
         series, rejected = report.series, report.rejected
     else:
-        if not args.daily.exists():
-            raise ValidationError(f"{args.daily} does not exist")
         cols = chainio.read_columns(args.daily)
         for name in ("date", "y", "rv"):
             if name not in cols:
-                raise ValidationError(f"{args.daily}: missing column {name!r}")
+                raise ValueError(f"{args.daily}: missing column {name!r}")
         for name in ("y", "rv"):
             if cols[name].dtype.kind != "f":
-                raise ValidationError(f"{args.daily}: column {name!r} has a non-numeric cell")
-        rvs = cols["rv"]
-        if np.any(rvs <= 0.0):
-            raise ValidationError(f"{args.daily}: rv must be strictly positive")
-        dates = tuple(dt.date.fromisoformat(d) for d in cols["date"])
-        series = rvmod.RvSeries(dates=dates, rv=rvs, y=cols["y"])
+                raise ValueError(f"{args.daily}: column {name!r} has a non-numeric cell")
+        try:
+            dates = tuple(dt.date.fromisoformat(d) for d in cols["date"])
+        except (TypeError, ValueError) as exc:  # TypeError: read as numbers, say 20240102
+            raise ValueError(f"{args.daily}: column 'date' needs YYYY-MM-DD dates: {exc}") from exc
+        series = rvmod.RvSeries(dates=dates, rv=cols["rv"], y=cols["y"])
         rejected = ()
 
     c = rvmod.hansen_lunde_c(series.y, series.rv)
     if c <= 0.0:
-        raise ValidationError("daily returns have zero variance; c is degenerate")
+        raise ValueError("daily returns have zero variance; c is degenerate")
     rows = (
         (series.dates[i], series.y[i], series.rv[i], c * series.rv[i], math.log(series.rv[i]))
         for i in range(len(series.y))
@@ -403,15 +377,13 @@ def cmd_rv_build(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    if not args.chain.exists():
-        raise ValidationError(f"chain file {args.chain} does not exist")
     cols = chainio.read_columns(args.chain)
     drop = {"iteration", "delta_h", "accepted"}
     numeric = {
         k: v for k, v in cols.items() if k not in drop and v.dtype.kind == "f"
     }
     if not numeric:
-        raise ValidationError(f"{args.chain}: no parameter columns found")
+        raise ValueError(f"{args.chain}: no parameter columns found")
     _write_summary(args.out, numeric, min_samples=args.min_samples)
     print(f"wrote {args.out}")
     return 0
@@ -431,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[args.command](args)
-    except (ValidationError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

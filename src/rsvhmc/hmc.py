@@ -139,7 +139,7 @@ def run_chain(
     h_indices = tuple(int(i) for i in h_indices)
     for k, i in enumerate(h_indices):
         if not 0 <= i < data.n:
-            raise ValueError(f"recorded h index {i} out of range for n={data.n}")
+            raise ValueError(f"recorded h index {i} (column h_{i + 1}) out of range for n={data.n}")
         if i in h_indices[:k]:
             # each index is one column, h_<i + 1>, of the chain's records
             raise ValueError(f"recorded h index {i} (column h_{i + 1}) given twice")
@@ -222,7 +222,8 @@ def _fingerprint(data, init, cfg, n_burn, n_keep, prior, h_indices, rng_state) -
 
 
 def save_checkpoint(path: Path, state: dict, **arrays: np.ndarray) -> None:
-    """Write ``state`` as a JSON record plus ``arrays`` to one .npz, replacing ``path``."""
+    """Write ``state`` as JSON plus ``arrays`` to one .npz at ``path``, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         np.savez(fh, state=np.array(json.dumps(state)), **arrays)

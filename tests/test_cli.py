@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,7 +119,7 @@ class TestEstimate:
         rc = run("estimate", "--data", tmp_path / "nope.csv", "--out", tmp_path / "o")
         assert rc == 1
 
-    def test_invalid_record_h(self, tmp_path):
+    def test_invalid_record_h(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "20", "--seed", "1")
         rc = run(
@@ -124,6 +128,7 @@ class TestEstimate:
         )
         assert rc == 1
         assert not (tmp_path / "o" / "chain.csv").exists()
+        assert "h_99" in capsys.readouterr().err
 
     def test_duplicate_record_h(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -155,6 +160,25 @@ class TestEstimate:
         )
         assert rc == 1
         assert not (out / "chain.csv").exists()
+
+    @pytest.mark.parametrize(
+        "rows,flags",
+        [
+            (20, ("--checkpoint-every", "0")),
+            (20, ("--n-keep", "0")),
+            (20, ("--n-burn", "-1")),
+            (20, ("--record-h", "99")),
+            (1, ("--record-h", "1")),
+        ],
+        ids=["checkpoint_every_0", "n_keep_0", "n_burn_negative", "record_h_99", "one_row_series"],
+    )
+    def test_refusal_leaves_no_out_dir(self, tmp_path, rows, flags):
+        data = tmp_path / "data.csv"
+        chainio.write_table(data, ["t", "y", "ln_rv"], [(t, 0.1, -1.0 + 0.01 * t) for t in range(rows)])
+        out = tmp_path / "o"
+        rc = run("estimate", "--data", data, "--out", out, "--n-burn", "0", "--n-keep", "5", *flags)
+        assert rc == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--a-eta", "--b-eta", "--a-u", "--b-u"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -404,6 +428,23 @@ class TestRvBuild:
         assert not out.exists()
         assert f"column {column!r}" in capsys.readouterr().err
 
+    def test_daily_numeric_date_refused(self, tmp_path, capsys):
+        daily = tmp_path / "daily.csv"
+        rows = [(20240102, 0.01, 0.0002), (20240103, -0.02, 0.0003)]
+        chainio.write_table(daily, ["date", "y", "rv"], rows)
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--daily", daily, "--out", out) == 1
+        assert not out.exists()
+        assert "column 'date'" in capsys.readouterr().err
+
+    def test_empty_tick_file_refused(self, tmp_path, capsys):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("")
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--ticks", ticks, "--out", out) == 1
+        assert not out.exists()
+        assert "expected header 'timestamp,price'" in capsys.readouterr().err
+
     def test_requires_exactly_one_input(self, tmp_path):
         assert run("rv-build", "--out", tmp_path / "o.csv") == 1
 
@@ -459,3 +500,57 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"sedd": 3}))
         assert run("--config", cfg, "simulate", "--out", tmp_path / "d.csv") == 1
         assert not (tmp_path / "d.csv").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("simulate", "--out", "d.csv", "--n", "abc"), "invalid int value: 'abc'"),
+            ((), "required: command"),
+            (("simulate",), "required: --out"),
+            (("estimate", "--out", "o"), "required: --data"),
+            (("simulate", "--out", "d.csv", "--no-such-flag"), "unrecognized arguments"),
+        ],
+        ids=["bad_value", "no_command", "no_out", "no_data", "unknown_flag"],
+    )
+    def test_usage_error_returns_one(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert "usage: rsvhmc" in err
+        assert not list(tmp_path.iterdir())
+
+
+class TestEntryPoint:
+    """``python -m rsvhmc.cli`` exits with ``main``'s code."""
+
+    def cli(self, tmp_path, *argv):
+        src = str(Path(rsvhmc.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, "-m", "rsvhmc.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("simulate", "--out", "d.csv", "--n", "abc"), 1),
+            (("estimate", "--data", "nope.csv", "--out", "o"), 1),
+            (("--help",), 0),
+        ],
+        ids=["usage_error", "missing_data", "help"],
+    )
+    def test_exit_code(self, tmp_path, argv, code):
+        proc = self.cli(tmp_path, *argv)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stderr.startswith("error: ")
+            assert "Traceback" not in proc.stderr
+        else:
+            assert "usage: rsvhmc" in proc.stdout
+        assert not list(tmp_path.iterdir())

@@ -225,7 +225,7 @@ class TestRunChain:
     def test_bad_h_index_rejected(self):
         ds = small_dataset(n=40)
         cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"h index 40 \(column h_41\) out of range"):
             run_chain(
                 ds.data,
                 default_init(ds.data),
@@ -319,6 +319,13 @@ class TestResume:
         with pytest.raises(ValueError, match="other data"):
             self.run(ds, ckpt, resume=True, rng_seed=6)
         assert ckpt.read_bytes() == before
+
+    def test_checkpoint_directory_created(self, tmp_path):
+        ds = small_dataset(n=60)
+        ckpt = tmp_path / "new" / "run" / "chain.npz"
+        self.run(ds, ckpt)
+        with np.load(ckpt, allow_pickle=False) as npz:
+            assert len(npz["h"]) == 60
 
     def test_missing_or_foreign_file_refused(self, tmp_path):
         ds = small_dataset(n=60)
