@@ -131,17 +131,25 @@ def write_series(path: Path, data: ObservedSeries, meta: dict | None = None) -> 
         write_metadata(path, meta)
 
 
+def require_numeric(path: Path, cols: dict[str, np.ndarray], names) -> None:
+    """Refuse a table from ``read_columns`` that lacks one of the columns
+    ``names`` or holds a cell in one of them that is not a number (such a
+    column is read as strings)."""
+    for name in names:
+        if name not in cols:
+            raise ValueError(f"{path}: missing column {name!r}")
+        if cols[name].dtype.kind != "f":
+            raise ValueError(f"{path}: column {name!r} has a non-numeric cell")
+
+
 def read_series(path: Path) -> ObservedSeries:
+    """The ``y`` and ``ln_rv`` columns of a series file, or the log of its
+    ``rv`` column when it has no ``ln_rv``."""
     cols = read_columns(path)
-    if "y" not in cols:
-        raise ValueError(f"{path}: missing 'y' column")
     if "ln_rv" in cols:
-        ln_rv = cols["ln_rv"]
-    elif "rv" in cols:
-        rv = cols["rv"]
-        if np.any(rv <= 0.0):
-            raise ValueError(f"{path}: 'rv' column must be strictly positive")
-        ln_rv = np.log(rv)
-    else:
-        raise ValueError(f"{path}: need an 'ln_rv' or 'rv' column")
-    return ObservedSeries(y=cols["y"], ln_rv=ln_rv)
+        require_numeric(path, cols, ("y", "ln_rv"))
+        return ObservedSeries(y=cols["y"], ln_rv=cols["ln_rv"])
+    require_numeric(path, cols, ("y", "rv"))
+    if np.any(cols["rv"] <= 0.0):
+        raise ValueError(f"{path}: 'rv' column must be strictly positive")
+    return ObservedSeries(y=cols["y"], ln_rv=np.log(cols["rv"]))

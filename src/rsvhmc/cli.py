@@ -9,7 +9,8 @@ Commands:
 
 A JSON config file (--config) supplies defaults; explicit flags override.
 Values are checked by the library call that uses them. Exit codes: 0 success,
-1 validation error (bad inputs or flags, a missing input file), 2 runtime failure.
+1 validation error (bad inputs or flags, a missing input file or a directory
+given as one), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diagnose", help="summaries for an existing chain file")
     diag.add_argument("--chain", type=Path, required=True)
     diag.add_argument("--out", type=Path, required=True, help="output summary table")
-    diag.add_argument("--min-samples", type=int, default=1000)
     return parser
 
 
@@ -119,8 +119,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     if not isinstance(defaults, dict):
         raise ValueError(f"config {args.config} must be a JSON object")
     # config supplies defaults; explicit flags win because we re-parse with
-    # the config values installed as subcommand defaults
-    cleaned = {k.replace("-", "_"): v for k, v in defaults.items()}
+    # the config values installed as subcommand defaults, as text (but for a
+    # switch's boolean) so that argparse checks each through its flag's type
+    cleaned = {
+        k.replace("-", "_"): v if isinstance(v, bool) else str(v) for k, v in defaults.items()
+    }
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     known = set()
     for sub in subparsers.choices.values():
@@ -218,7 +221,7 @@ def cmd_estimate(args) -> int:
             "wall_time_seconds": result.wall_time_seconds,
         },
     )
-    _write_summary(out_dir / "summary.csv", cols, min_samples=min(1000, n_rows))
+    _write_summary(out_dir / "summary.csv", cols)
     ckpt.unlink(missing_ok=True)
     print(
         f"wrote {chain_path} ({n_rows} kept, acceptance "
@@ -227,22 +230,11 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _write_summary(path: Path, cols: dict[str, np.ndarray], min_samples: int = 1000):
-    summaries = posterior_summary(cols, min_samples=min_samples)
+def _write_summary(path: Path, cols: dict[str, np.ndarray]):
     rows = []
-    for s in summaries:
-        act = s.act
-        rows.append(
-            [
-                s.name,
-                s.mean,
-                s.sd,
-                act.two_tau_int if act else "",
-                act.error if act else "",
-                act.window if act else "",
-                s.note,
-            ]
-        )
+    for s in posterior_summary(cols):
+        act = (s.act.two_tau_int, s.act.error, s.act.window) if s.act else ("", "", "")
+        rows.append((s.name, s.mean, s.sd, *act, s.note))
     chainio.write_table(
         path,
         ["parameter", "mean", "sd", "two_tau_int", "act_error", "act_window", "note"],
@@ -339,12 +331,9 @@ def cmd_rv_build(args) -> int:
         series, rejected = report.series, report.rejected
     else:
         cols = chainio.read_columns(args.daily)
-        for name in ("date", "y", "rv"):
-            if name not in cols:
-                raise ValueError(f"{args.daily}: missing column {name!r}")
-        for name in ("y", "rv"):
-            if cols[name].dtype.kind != "f":
-                raise ValueError(f"{args.daily}: column {name!r} has a non-numeric cell")
+        if "date" not in cols:
+            raise ValueError(f"{args.daily}: missing column 'date'")
+        chainio.require_numeric(args.daily, cols, ("y", "rv"))
         try:
             dates = tuple(dt.date.fromisoformat(d) for d in cols["date"])
         except (TypeError, ValueError) as exc:  # TypeError: read as numbers, say 20240102
@@ -378,13 +367,11 @@ def cmd_rv_build(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cols = chainio.read_columns(args.chain)
-    drop = {"iteration", "delta_h", "accepted"}
-    numeric = {
-        k: v for k, v in cols.items() if k not in drop and v.dtype.kind == "f"
-    }
-    if not numeric:
+    params = [k for k in cols if k not in ("iteration", "delta_h", "accepted")]
+    if not params:
         raise ValueError(f"{args.chain}: no parameter columns found")
-    _write_summary(args.out, numeric, min_samples=args.min_samples)
+    chainio.require_numeric(args.chain, cols, params)
+    _write_summary(args.out, {k: cols[k] for k in params})
     print(f"wrote {args.out}")
     return 0
 
@@ -403,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

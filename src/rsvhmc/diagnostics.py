@@ -181,16 +181,19 @@ class ParamSummary:
     note: str = ""
 
 
-def posterior_summary(columns: dict[str, np.ndarray], min_samples: int = 1000) -> list[ParamSummary]:
-    """Mean, standard deviation (n-1 denominator) and ACT per chain column."""
+def posterior_summary(columns: dict[str, np.ndarray]) -> list[ParamSummary]:
+    """Mean, standard deviation (n-1 denominator) and ACT per chain column; a
+    column whose ACT cannot be estimated gets a note instead."""
     out = []
     for name, col in columns.items():
         col = np.asarray(col, dtype=np.float64)
-        if len(col) < min_samples:
-            raise ValueError(f"column {name}: need >= {min_samples} samples")
-        if not np.isfinite(col).all():
-            # moments of a series holding nan or inf are undefined (and warn)
-            note = "series has non-finite values (nan or inf)"
+        if len(col) < 2 or not np.isfinite(col).all():
+            # the sd of fewer than 2 values, and the moments of a series
+            # holding nan or inf, are undefined (and warn)
+            if len(col) < 2:
+                note = f"need at least 2 samples, got {len(col)}"
+            else:
+                note = "series has non-finite values (nan or inf)"
             out.append(ParamSummary(name=name, mean=math.nan, sd=math.nan, act=None, note=note))
             continue
         mean = float(np.mean(col))

@@ -34,8 +34,8 @@ class IntradayDay:
         lp = np.asarray(self.log_prices, dtype=np.float64)
         if len(ts) != len(lp):
             raise RvError(f"{self.date}: timestamp/price length mismatch")
-        if len(ts) < 2:
-            raise RvError(f"{self.date}: need at least 2 observations")
+        if len(ts) == 0:
+            raise RvError(f"{self.date}: no observations")
         if np.any(np.diff(ts) <= 0.0):
             raise RvError(f"{self.date}: timestamps must be strictly increasing")
         if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(lp))):
@@ -82,9 +82,7 @@ def _grid_sample(day: IntradayDay, grid_seconds: int) -> tuple[np.ndarray, np.nd
     t0, t1 = day.timestamps[0], day.timestamps[-1]
     grid = np.arange(t0, t1 + 1e-9, float(grid_seconds))
     if len(grid) < 2:
-        raise RvError(
-            f"{day.date}: fewer than 2 grid points at {grid_seconds}s spacing"
-        )
+        raise RvError(f"fewer than 2 grid points at {grid_seconds}s spacing")
     pos = np.searchsorted(day.timestamps, grid, side="right") - 1
     return day.log_prices[pos], grid
 
@@ -122,30 +120,24 @@ def hansen_lunde_c(y, rv) -> float:
         raise RvError("need equal-length series with n >= 2")
     if np.any(rv <= 0.0):
         raise RvError("rv must be strictly positive")
-    total = float(np.sum(rv))
-    if total <= 0.0:
-        raise RvError("rv sum must be positive")
-    return float(np.sum((y - np.mean(y)) ** 2)) / total
+    return float(np.sum((y - np.mean(y)) ** 2)) / float(np.sum(rv))
 
 
 def build_series(days, grid_seconds: int) -> BuildReport:
     """Assemble aligned (date, y, RV) series from per-day tick data.
 
-    Days with zero RV or grid coverage below ``COVERAGE_THRESHOLD`` are
-    dropped and reported; duplicate dates and a grid spacing below one
-    second are errors.
+    Days with fewer than 2 grid points, grid coverage below
+    ``COVERAGE_THRESHOLD`` or zero RV are dropped and reported; duplicate
+    dates and a grid spacing below one second are errors.
     """
     if grid_seconds < 1:
         raise RvError("grid_seconds must be >= 1")
-    days = list(days)
-    if not days:
-        raise RvError("no days supplied")
-    seen: dict[dt.date, int] = {}
-    for d in days:
-        if d.date in seen:
-            raise RvError(f"duplicate date {d.date}")
-        seen[d.date] = 1
     ordered = sorted(days, key=lambda d: d.date)
+    if not ordered:
+        raise RvError("no days supplied")
+    for prev, day in zip(ordered, ordered[1:]):
+        if day.date == prev.date:
+            raise RvError(f"duplicate date {day.date}")
 
     dates, rvs, ys, rejected = [], [], [], []
     for day in ordered:
@@ -167,6 +159,6 @@ def build_series(days, grid_seconds: int) -> BuildReport:
         rvs.append(rv)
         ys.append(daily_return(day))
     if not dates:
-        raise RvError("all days rejected: " + "; ".join(r.reason for r in rejected))
+        raise RvError("all days rejected: " + "; ".join(f"{r.date}: {r.reason}" for r in rejected))
     series = RvSeries(dates=tuple(dates), rv=np.array(rvs), y=np.array(ys))
     return BuildReport(series=series, rejected=tuple(rejected))

@@ -177,3 +177,48 @@ def test_series_roundtrip(tmp_path):
     back = chainio.read_series(tmp_path / "d.csv")
     assert back.y.tobytes() == data.y.tobytes()
     assert back.ln_rv.tobytes() == data.ln_rv.tobytes()
+
+
+class TestRequireNumeric:
+    @pytest.mark.parametrize("cell", ["abc", ""], ids=["text", "empty"])
+    def test_non_numeric_cell_named_with_file_and_column(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n")
+        cols = read_columns(path)
+        chainio.require_numeric(path, cols, ["a"])
+        with pytest.raises(ValueError) as exc:
+            chainio.require_numeric(path, cols, ["a", "b"])
+        assert str(exc.value) == f"{path}: column 'b' has a non-numeric cell"
+
+    def test_missing_column_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a\n1\n")
+        with pytest.raises(ValueError) as exc:
+            chainio.require_numeric(path, read_columns(path), ["a", "z"])
+        assert str(exc.value) == f"{path}: missing column 'z'"
+
+
+class TestReadSeries:
+    @pytest.mark.parametrize("column", ["y", "ln_rv", "rv"])
+    def test_non_numeric_cell_refused(self, tmp_path, column):
+        path = tmp_path / "d.csv"
+        other = "rv" if column == "y" else column
+        cells = {"y": ["0.1", "0.2"], other: ["0.3", "0.4"]}
+        cells[column][1] = "abc"
+        path.write_text(f"y,{other}\n" + "".join(f"{a},{b}\n" for a, b in zip(*cells.values())))
+        with pytest.raises(ValueError) as exc:
+            chainio.read_series(path)
+        assert str(exc.value) == f"{path}: column '{column}' has a non-numeric cell"
+
+    def test_rv_column_read_as_its_log(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,rv\n0.1,0.5\n-0.2,2.0\n")
+        series = chainio.read_series(path)
+        np.testing.assert_array_equal(series.ln_rv, np.log([0.5, 2.0]))
+
+    @pytest.mark.parametrize("header", ["t,ln_rv", "t,y"])
+    def test_missing_column_refused(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n1,0.5\n")
+        with pytest.raises(ValueError, match="missing column"):
+            chainio.read_series(path)

@@ -192,6 +192,36 @@ class TestEstimate:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
+class TestSeriesInput:
+    @pytest.mark.parametrize("command", ["estimate", "scan"])
+    @pytest.mark.parametrize("column", ["y", "rv"])
+    def test_non_numeric_cell_refused(self, tmp_path, capsys, command, column):
+        data = tmp_path / "data.csv"
+        cells = {"y": ["0.01", "-0.02", "0.005"], "rv": ["0.0002", "0.0003", "0.0001"]}
+        cells[column][1] = "xyz"
+        rows = zip("123", cells["y"], cells["rv"])
+        data.write_text("t,y,rv\n" + "".join(f"{t},{y},{rv}\n" for t, y, rv in rows))
+        out = tmp_path / "o"
+        grid = ("--grid", "0.3") if command == "scan" else ()
+        assert run(command, "--data", data, "--out", out, *grid) == 1
+        assert not out.exists()
+        assert f"error: {data}: column {column!r} has a non-numeric cell" in capsys.readouterr().err
+
+    def test_single_kept_draw_gets_notes_not_warnings(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "30", "--seed", "1")
+        out = tmp_path / "run"
+        rc = run(
+            "estimate", "--data", data, "--out", out, "--n-burn", "0", "--n-keep", "1",
+            "--step-size", "0.3", "--total-length", "1.0",
+        )
+        assert rc == 0
+        summary = chainio.read_table(out / "summary.csv")
+        assert "phi" in summary["parameter"] and "h_10" in summary["parameter"]
+        assert set(summary["note"]) == {"need at least 2 samples, got 1"}
+        assert set(summary["mean"]) == set(summary["sd"]) == {"nan"}
+
+
 SPRUNG = []
 
 
@@ -445,6 +475,19 @@ class TestRvBuild:
         assert not out.exists()
         assert "expected header 'timestamp,price'" in capsys.readouterr().err
 
+    def test_single_tick_day_rejected_not_fatal(self, tmp_path, capsys):
+        ticks = tmp_path / "ticks.csv"
+        self._tick_file(ticks)
+        with open(ticks, "a") as fh:
+            fh.write("2024-01-04T10:00:00,101.0\n")
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--ticks", ticks, "--out", out) == 0
+        err = capsys.readouterr().err
+        assert "rejected 2024-01-04: fewer than 2 grid points at 60s spacing\n" in err
+        assert err.count("2024-01-04") == 1
+        assert len(chainio.read_columns(out)["rv"]) == 2
+        assert chainio.read_metadata(out)["n_rejected"] == "1"
+
     def test_requires_exactly_one_input(self, tmp_path):
         assert run("rv-build", "--out", tmp_path / "o.csv") == 1
 
@@ -460,14 +503,21 @@ class TestDiagnose:
             "--total-length", "1.0",
         )
         summary = tmp_path / "summary.csv"
-        rc = run(
-            "diagnose", "--chain", out / "chain.csv", "--out", summary,
-            "--min-samples", "100",
-        )
+        rc = run("diagnose", "--chain", out / "chain.csv", "--out", summary)
         assert rc == 0
         cols = chainio.read_table(summary)
         assert "phi" in cols["parameter"]
         assert "h_10" in cols["parameter"]
+
+    @pytest.mark.parametrize("cell", ["", "abc"], ids=["empty", "text"])
+    def test_non_numeric_cell_refused(self, tmp_path, capsys, cell):
+        chain = tmp_path / "chain.csv"
+        rows = [f"{i},{0.01 * i},{cell if i == 7 else 0.5},0.1,1" for i in range(200)]
+        chain.write_text("iteration,mu,phi,delta_h,accepted\n" + "\n".join(rows) + "\n")
+        summary = tmp_path / "s.csv"
+        assert run("diagnose", "--chain", chain, "--out", summary) == 1
+        assert f"error: {chain}: column 'phi' has a non-numeric cell" in capsys.readouterr().err
+        assert not summary.exists()
 
     def test_ragged_chain_refused(self, tmp_path, capsys):
         chain = tmp_path / "chain.csv"
@@ -494,6 +544,22 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
         assert run("--config", cfg, "simulate", "--out", tmp_path / "d.csv") == 1
+
+    def test_config_value_checked_by_flag_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2.5}))
+        out = tmp_path / "d.csv"
+        assert run("--config", cfg, "simulate", "--out", out) == 1
+        assert "argument --n: invalid int value: '2.5'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_switch_and_float_values(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 20, "phi": 0.1 + 0.2, "write_h": True}))
+        out = tmp_path / "d.csv"
+        assert run("--config", cfg, "simulate", "--out", out) == 0
+        assert chainio.read_metadata(out)["theta_true.phi"] == repr(0.1 + 0.2)
+        assert (tmp_path / "d_h.csv").exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -522,6 +588,25 @@ class TestUsageErrors:
         assert message in err
         assert "usage: rsvhmc" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--data", "dir", "--out", "o"),
+            ("scan", "--data", "dir", "--out", "s.csv", "--grid", "0.3"),
+            ("diagnose", "--chain", "dir", "--out", "s.csv"),
+            ("rv-build", "--daily", "dir", "--out", "s.csv"),
+            ("rv-build", "--ticks", "dir", "--out", "s.csv"),
+        ],
+        ids=["estimate", "scan", "diagnose", "rv_build_daily", "rv_build_ticks"],
+    )
+    def test_directory_input_is_validation_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
 
 
 class TestEntryPoint:

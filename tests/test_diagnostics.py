@@ -256,8 +256,19 @@ class TestPosteriorSummary:
         assert math.isnan(summary.mean) and math.isnan(summary.sd)
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            posterior_summary({"a": np.arange(100.0)})
+        for n in (0, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (summary,) = posterior_summary({"a": np.arange(float(n))})
+            assert summary.note == f"need at least 2 samples, got {n}"
+            assert summary.act is None
+            assert math.isnan(summary.mean) and math.isnan(summary.sd)
+
+    def test_short_column_gets_the_act_refusal_as_note(self):
+        (summary,) = posterior_summary({"a": np.arange(50.0)})
+        assert summary.mean == 24.5
+        assert summary.act is None
+        assert summary.note == "need at least 100 samples, got 50"
 
     def test_replication_between_seeds(self):
         # two independent chains over the same target must agree within errors

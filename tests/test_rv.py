@@ -57,8 +57,8 @@ class TestDailyRv:
     def test_validation(self):
         with pytest.raises(RvError):
             make_day(D1, [0, 0], [1.0, 1.0])  # non-increasing timestamps
-        with pytest.raises(RvError):
-            make_day(D1, [0], [1.0])  # single observation
+        with pytest.raises(RvError, match="no observations"):
+            make_day(D1, [], [])  # empty day
 
 
 class TestHansenLunde:
@@ -118,6 +118,27 @@ class TestBuildSeries:
         days = [make_day(D1, [0, 60], [0.0, 0.01]), make_day(D1, [0, 60], [0.0, 0.02])]
         with pytest.raises(RvError, match="duplicate"):
             build_series(days, 60)
+
+    def test_duplicate_dates_apart_in_input_rejected(self):
+        days = [make_day(d, [0, 60], [0.0, 0.01]) for d in (D1, D2, D1)]
+        with pytest.raises(RvError, match=f"duplicate date {D1}"):
+            build_series(days, 60)
+
+    def test_single_tick_day_dropped_with_reason(self):
+        days = [make_day(D1, [0, 60], [0.0, 0.01]), make_day(D2, [30], [0.0])]
+        report = build_series(days, 60)
+        assert report.series.dates == (D1,)
+        assert [r.date for r in report.rejected] == [D2]
+        assert report.rejected[0].reason == "fewer than 2 grid points at 60s spacing"
+
+    def test_all_rejected_names_each_date_once(self):
+        days = [make_day(D1, [0], [0.0]), make_day(D2, [0, 60, 120], [1.0, 1.0, 1.0])]
+        with pytest.raises(RvError) as exc:
+            build_series(days, 60)
+        assert str(exc.value) == (
+            f"all days rejected: {D1}: fewer than 2 grid points at 60s spacing; "
+            f"{D2}: zero realized variance"
+        )
 
     def test_flat_day_dropped_with_reason(self):
         days = [
