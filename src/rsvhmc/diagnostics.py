@@ -228,7 +228,7 @@ def stepsize_scan(
     n_warm)`` pre-warm trajectories at a fifth of the grid's smallest step
     size, then ``n_warm`` at that step size, which accepts most. Each grid
     point, in the given order, then runs only its ``n_traj`` measured
-    trajectories; the latent path and its potential carry over between
+    trajectories; the latent path and its sums carry over between
     trajectories and grid points.
     """
     grid = [float(g) for g in grid]
@@ -242,7 +242,7 @@ def stepsize_scan(
     rng = np.random.default_rng(seed)
     cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt, lam) for dt in grid]
     target = model.LatentTarget(theta, data)
-    v = target.potential(h)
+    sums = model.path_sums(h, data)
     # warm at the smallest step (the first on a tie), which accepts most, so
     # an oversized step anywhere in the grid cannot stall the warm-up
     warm = min(cfgs, key=lambda c: c.step_size)
@@ -250,19 +250,19 @@ def stepsize_scan(
     # have uniformly large delta-H at the target step, stalling the warm-up
     pre_cfg = TrajectoryConfig(scheme, warm.step_size / 5.0, warm.n_steps, warm.lam)
     for _ in range(min(100, n_warm)):
-        out = hmc_update(h, v, target, pre_cfg, rng)
-        h, v = out.h_new, out.potential
+        out = hmc_update(h, sums, target, pre_cfg, rng)
+        h, sums = out.h_new, out.sums
     for _ in range(n_warm):
-        out = hmc_update(h, v, target, warm, rng)
-        h, v = out.h_new, out.potential
+        out = hmc_update(h, sums, target, warm, rng)
+        h, sums = out.h_new, out.sums
     rows = []
     warnings = []
     for cfg in cfgs:
         dh = np.empty(n_traj)
         acc = np.empty(n_traj, dtype=bool)
         for i in range(n_traj):
-            out = hmc_update(h, v, target, cfg, rng)
-            h, v = out.h_new, out.potential
+            out = hmc_update(h, sums, target, cfg, rng)
+            h, sums = out.h_new, out.sums
             dh[i] = out.delta_h
             acc[i] = out.accepted
         p = float(np.mean(acc))

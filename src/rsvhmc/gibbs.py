@@ -7,9 +7,9 @@ Conventions:
 * inverse-gamma priors for both variances.
 
 Given the latent path, every conditional depends on h and ln RV only through
-a few sums. ``path_sums`` takes them in one pass over the arrays; the draws
-are scalar arithmetic on those sums and on the parameters drawn so far. The
-series needs n >= 2.
+a few sums. ``model.path_sums`` takes them in one pass over the arrays, and
+the sampler carries them with the path; the draws are scalar arithmetic on
+those sums and on the parameters drawn so far. The series needs n >= 2.
 
 phi is updated by Metropolis-Hastings within Gibbs with the AR-regression
 Gaussian proposal of Kim, Shephard & Chib (Rev. Econ. Stud. 65 (1998) 361).
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ObservedSeries
+from .model import ModelParams, PathSums
 
 
 @dataclass(frozen=True)
@@ -54,50 +54,6 @@ class PriorConfig:
                 math.isfinite(pr[0]) and math.isfinite(pr[1]) and pr[1] > 0.0
             ):
                 raise ValueError(f"{name} needs a finite mean and a finite variance > 0, got {pr}")
-
-
-@dataclass(frozen=True)
-class PathSums:
-    """What the draws need of (h, ln RV). phi and sigma_eta2 use the AR
-    regression of g[1:] on g[:-1], g = h - h[0], about the two segments' own
-    means: no sum cancels when |mu| is large or |phi| is near 1, and h[:-1]
-    equal to mu gives an exactly zero regression denominator."""
-
-    n: int
-    mean: float  # mean(h)
-    first: float  # h[0]
-    last: float  # h[-1]
-    lag_mean: float  # mean(g[:-1])
-    lead_mean: float  # mean(g[1:])
-    lag_ss: float  # sum (g[:-1] - lag_mean)^2
-    slope: float  # least-squares slope of g[1:] on g[:-1]; 0 when lag_ss is 0
-    resid_ss: float  # sum of that regression's squared residuals
-    e_mean: float  # mean(ln RV - h)
-    e_ss: float  # sum (ln RV - h - e_mean)^2
-
-
-def path_sums(h: np.ndarray, data: ObservedSeries) -> PathSums:
-    """The sums every parameter draw needs, in one pass over h and ln RV."""
-    n = len(h)
-    if n < 2:
-        raise ValueError(f"the parameter sweep needs n >= 2, got {n}")
-    first = float(h[0])
-    mean = float(h.sum()) / n
-    g = h - first
-    lag_mean = float(g[:-1].sum()) / (n - 1)
-    lead_mean = float(g[1:].sum()) / (n - 1)
-    a = g[:-1] - lag_mean
-    b = g[1:] - lead_mean
-    lag_ss = float(a @ a)
-    slope = float(b @ a) / lag_ss if lag_ss > 0.0 else 0.0
-    b -= slope * a
-    e = data.ln_rv - h
-    e_mean = float(e.sum()) / n
-    e -= e_mean
-    return PathSums(
-        n, mean, first, float(h[-1]), lag_mean, lead_mean, lag_ss, slope, float(b @ b),
-        e_mean, float(e @ e),
-    )
 
 
 def _posterior_normal(
@@ -158,34 +114,21 @@ def sample_sigma_eta2(
     s: PathSums, phi: float, mu: float, prior: PriorConfig, rng: np.random.Generator
 ) -> float:
     """sigma_eta2 | rest ~ IG(n/2 + a_eta, b_eta + SS/2), SS the AR(1) quadratic form."""
-    m = mu - s.first
-    da, db = m - s.lag_mean, m - s.lead_mean
-    # stationary term, then sum (h[t+1] - mu - phi (h[t] - mu))^2 as regression
-    # residuals plus the slope and mean offsets
-    ss = (
-        (1.0 - phi * phi) * m * m
-        + s.resid_ss
-        + s.lag_ss * (phi - s.slope) ** 2
-        + (s.n - 1) * (db - phi * da) ** 2
-    )
-    return (prior.b_eta + 0.5 * ss) / rng.gamma(s.n / 2.0 + prior.a_eta)
+    return (prior.b_eta + 0.5 * s.transition_ss(phi, mu)) / rng.gamma(s.n / 2.0 + prior.a_eta)
 
 
 def sample_sigma_u2(s: PathSums, xi: float, prior: PriorConfig, rng: np.random.Generator) -> float:
     """sigma_u2 | rest ~ IG(n/2 + a_u, b_u + sum (ln RV - xi - h)^2 / 2)."""
-    ss = s.e_ss + s.n * (xi - s.e_mean) ** 2
-    return (prior.b_u + 0.5 * ss) / rng.gamma(s.n / 2.0 + prior.a_u)
+    return (prior.b_u + 0.5 * s.measurement_ss(xi)) / rng.gamma(s.n / 2.0 + prior.a_u)
 
 
 def gibbs_sweep(
-    h: np.ndarray,
-    theta: ModelParams,
-    data: ObservedSeries,
-    prior: PriorConfig,
-    rng: np.random.Generator,
+    s: PathSums, theta: ModelParams, prior: PriorConfig, rng: np.random.Generator
 ) -> ModelParams:
-    """One full parameter sweep in the fixed order phi, mu, xi, sigma_eta2, sigma_u2."""
-    s = path_sums(h, data)
+    """One full parameter sweep in the fixed order phi, mu, xi, sigma_eta2,
+    sigma_u2, given the current path's sums ``s = path_sums(h, data)``."""
+    if s.n < 2:
+        raise ValueError(f"the parameter sweep needs n >= 2, got {s.n}")
     phi = sample_phi(s, theta.phi, theta.mu, theta.sigma_eta2, rng)
     mu = sample_mu(s, phi, theta.sigma_eta2, prior, rng)
     xi = sample_xi(s, theta.sigma_u2, prior, rng)

@@ -22,41 +22,43 @@ from .model import PARAM_NAMES, ModelParams, ObservedSeries
 @dataclass(frozen=True)
 class HmcOutcome:
     h_new: np.ndarray
-    potential: float  # V(h_new) under the update's target
+    sums: model.PathSums  # path_sums(h_new): V under any theta, and the parameter draws
     delta_h: float
     accepted: bool
 
 
 def hmc_update(
     h: np.ndarray,
-    v: float,
+    sums: model.PathSums,
     target: model.LatentTarget,
     cfg: TrajectoryConfig,
     rng: np.random.Generator,
 ) -> HmcOutcome:
     """One HMC update of the latent path at the theta of ``target``.
 
-    ``v`` is ``target.potential(h)``; the outcome carries V of the path it
-    returns, so a caller whose theta has not changed passes it to the next
-    update. Nothing is validated: ``h`` is a finite float64 path of the
-    series length. A trajectory that leaves float64 range (a non-finite
-    change in H) counts as a divergence: delta_h = +inf, rejected. ``h`` is
-    never modified.
+    ``sums`` is ``path_sums(h, data)``; the outcome carries the sums of the
+    path it returns, from one ``path_sums`` of the trajectory's end. V at
+    either end is scalar arithmetic on them. Nothing is validated: ``h`` is a
+    finite float64 path of the series length. A trajectory that leaves
+    float64 range (a non-finite change in H) counts as a divergence: delta_h
+    = +inf, rejected. ``h`` is never modified.
     """
     p = rng.standard_normal(len(h))
-    # overflow and division by zero (exp(h) underflowing to 0 in the gradient)
-    # only show up as a non-finite delta_h, checked once below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h1, p1 = integrate(h, p, cfg, target.grad)
-        v1 = target.potential(h1)
-        delta_h = v1 + 0.5 * float(p1 @ p1) - (v + 0.5 * float(p @ p))
+    # overflow in the return term, and inf - inf further on, only show up as
+    # a non-finite delta_h, checked once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h1, p1 = integrate(h, p, cfg, target.kick)
+        sums1 = model.path_sums(h1, target.data)
+        delta_h = target.potential_from(sums1) + 0.5 * float(p1 @ p1) - (
+            target.potential_from(sums) + 0.5 * float(p @ p)
+        )
     if not math.isfinite(delta_h):
         # a divergence returns before the uniform is drawn
-        return HmcOutcome(h, v, math.inf, False)
+        return HmcOutcome(h, sums, math.inf, False)
     u = rng.uniform()
     if delta_h <= 0.0 or u < math.exp(-delta_h):
-        return HmcOutcome(h1, v1, delta_h, True)
-    return HmcOutcome(h, v, delta_h, False)
+        return HmcOutcome(h1, sums1, delta_h, True)
+    return HmcOutcome(h, sums, delta_h, False)
 
 
 def default_init(data: ObservedSeries) -> tuple[ModelParams, np.ndarray]:
@@ -168,13 +170,14 @@ def run_chain(
     t0 = time.perf_counter()
     h_at = np.array(h_indices, dtype=np.intp)
     total = n_burn + n_keep
+    # the path carries its sums: they give V under each new theta and feed the sweep
+    sums = model.path_sums(h, data)
     for it in range(start, total):
-        # theta moved in the last sweep, so V of the current path is recomputed
         target = model.LatentTarget(theta, data)
-        outcome = hmc_update(h, target.potential(h), target, cfg, rng)
-        h = outcome.h_new
+        outcome = hmc_update(h, sums, target, cfg, rng)
+        h, sums = outcome.h_new, outcome.sums
         n_accept += int(outcome.accepted)
-        theta = gibbs_sweep(h, theta, data, prior, rng)
+        theta = gibbs_sweep(sums, theta, prior, rng)
         if it >= n_burn:
             k = it - n_burn
             # in PARAM_NAMES order; a tuple of attributes is the cheapest per-draw write

@@ -9,7 +9,7 @@ Two reversible, volume-preserving schemes:
   two force evaluations per step.
 
 T-stages advance positions by momenta, V-stages kick momenta by the
-(negative) force. The force evaluator returns dV/dh, so kicks subtract.
+(negative) force: ``kick(h, p, s)`` subtracts s dV/dh from p in place.
 Each scheme is a table of (drift, kick) stages, after Omelyan, Mryglod &
 Folk, Comput. Phys. Commun. 151 (2003) 272.
 """
@@ -26,7 +26,7 @@ import numpy as np
 # near-optimal error constant for the 2nd-order minimum-norm scheme
 DEFAULT_LAMBDA = 0.193183327
 
-Force = Callable[[np.ndarray], np.ndarray]
+Kick = Callable[[np.ndarray, np.ndarray, float], None]
 
 
 class Scheme(enum.Enum):
@@ -50,7 +50,7 @@ class Scheme(enum.Enum):
 
 
 # One step of each scheme as (drift, kick) stages in units of the step size,
-# given lambda: drift h by drift * dt * p, then kick p by kick * dt * force.
+# given lambda: drift h by drift * dt * p, then kick p by -kick * dt * dV/dh.
 # A zero kick costs no force evaluation.
 SPLITTINGS = {
     Scheme.LEAPFROG2: lambda lam: ((0.5, 1.0), (0.5, 0.0)),
@@ -101,12 +101,13 @@ class TrajectoryConfig:
 
 
 def integrate(
-    h: np.ndarray, p: np.ndarray, cfg: TrajectoryConfig, force: Force
+    h: np.ndarray, p: np.ndarray, cfg: TrajectoryConfig, kick: Kick
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the configured step n_steps times and return the final (h, p).
 
-    ``h`` and ``p`` are left unchanged. ``force`` may return a buffer it
-    reuses, but must not keep the position array it is given.
+    ``h`` and ``p`` are left unchanged. Each stage with a non-zero kick
+    calls ``kick(h, p, s)`` with s = kick * step_size, which must update p
+    in place and keep neither array.
     """
     h, p = h.copy(), p.copy()
     tmp = np.empty_like(h)
@@ -114,12 +115,12 @@ def integrate(
     stages = [(drift * cfg.step_size, kick * cfg.step_size) for drift, kick in cfg.stages]
     held = None  # the drift whose product with the current p is in tmp
     for _ in range(cfg.n_steps):
-        for drift, kick in stages:
+        for drift, s in stages:
             if drift != held:
                 np.multiply(drift, p, out=tmp)
             h += tmp
             held = drift
-            if kick:
-                p -= np.multiply(kick, force(h), out=tmp)
+            if s:
+                kick(h, p, s)
                 held = None
     return h, p

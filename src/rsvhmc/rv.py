@@ -23,10 +23,11 @@ class RvError(ValueError):
 
 @dataclass(frozen=True)
 class IntradayDay:
-    """One trading day of time-ordered (timestamp, log-price) observations."""
+    """One trading day of (timestamp, log-price) observations. Whether they
+    are in strictly increasing time order is judged by ``build_series``."""
 
     date: dt.date
-    timestamps: np.ndarray  # seconds, monotone increasing
+    timestamps: np.ndarray  # seconds
     log_prices: np.ndarray
 
     def __post_init__(self):
@@ -36,8 +37,6 @@ class IntradayDay:
             raise RvError(f"{self.date}: timestamp/price length mismatch")
         if len(ts) == 0:
             raise RvError(f"{self.date}: no observations")
-        if np.any(np.diff(ts) <= 0.0):
-            raise RvError(f"{self.date}: timestamps must be strictly increasing")
         if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(lp))):
             raise RvError(f"{self.date}: non-finite tick data")
         object.__setattr__(self, "timestamps", ts)
@@ -79,6 +78,8 @@ class BuildReport:
 def _grid_sample(day: IntradayDay, grid_seconds: int) -> tuple[np.ndarray, np.ndarray]:
     """Previous-tick log prices on a regular grid anchored at the session
     open, and the grid itself."""
+    if np.any(np.diff(day.timestamps) <= 0.0):
+        raise RvError("timestamps must be strictly increasing")
     t0, t1 = day.timestamps[0], day.timestamps[-1]
     grid = np.arange(t0, t1 + 1e-9, float(grid_seconds))
     if len(grid) < 2:
@@ -126,9 +127,10 @@ def hansen_lunde_c(y, rv) -> float:
 def build_series(days, grid_seconds: int) -> BuildReport:
     """Assemble aligned (date, y, RV) series from per-day tick data.
 
-    Days with fewer than 2 grid points, grid coverage below
-    ``COVERAGE_THRESHOLD`` or zero RV are dropped and reported; duplicate
-    dates and a grid spacing below one second are errors.
+    Days whose timestamps are not strictly increasing, or with fewer than 2
+    grid points, grid coverage below ``COVERAGE_THRESHOLD`` or zero RV are
+    dropped and reported; duplicate dates and a grid spacing below one
+    second are errors.
     """
     if grid_seconds < 1:
         raise RvError("grid_seconds must be >= 1")

@@ -6,7 +6,7 @@ import pytest
 
 from rsvhmc import model
 from rsvhmc.hmc import HmcOutcome
-from rsvhmc.integrators import Force, Scheme, TrajectoryConfig, integrate
+from rsvhmc.integrators import Kick, Scheme, TrajectoryConfig, integrate
 from rsvhmc.model import ModelParams, ObservedSeries
 
 
@@ -45,14 +45,15 @@ def rng():
 
 @dataclass
 class CountingForce:
-    """Wraps a force evaluator and counts calls (cost accounting in tests)."""
+    """Wraps a kick and counts its calls, one force evaluation each (cost
+    accounting in tests)."""
 
-    force: Force
+    kick: Kick
     calls: int = field(default=0)
 
-    def __call__(self, h: np.ndarray) -> np.ndarray:
+    def __call__(self, h: np.ndarray, p: np.ndarray, s: float) -> None:
         self.calls += 1
-        return self.force(h)
+        self.kick(h, p, s)
 
 
 def hamiltonian(h, p, target: model.LatentTarget) -> float:
@@ -62,20 +63,22 @@ def hamiltonian(h, p, target: model.LatentTarget) -> float:
 
 
 def hmc_update_recomputing(h, theta, data, cfg, rng) -> HmcOutcome:
-    """Reference for ``hmc_update``: builds the target and computes V(h) on every call."""
+    """Reference for ``hmc_update``: builds the target and takes the sums of
+    both ends of the trajectory on every call."""
     p = rng.standard_normal(len(h))
     target = model.LatentTarget(theta, data)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        v = target.potential(h)
-        h1, p1 = integrate(h, p, cfg, target.grad)
-        v1 = target.potential(h1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = model.path_sums(h, data)
+        h1, p1 = integrate(h, p, cfg, target.kick)
+        sums1 = model.path_sums(h1, data)
+        v, v1 = target.potential_from(sums), target.potential_from(sums1)
         delta_h = v1 + 0.5 * float(p1 @ p1) - (v + 0.5 * float(p @ p))
     if not math.isfinite(delta_h):
-        return HmcOutcome(h, v, math.inf, False)
+        return HmcOutcome(h, sums, math.inf, False)
     u = rng.uniform()
     if delta_h <= 0.0 or u < math.exp(-delta_h):
-        return HmcOutcome(h1, v1, delta_h, True)
-    return HmcOutcome(h, v, delta_h, False)
+        return HmcOutcome(h1, sums1, delta_h, True)
+    return HmcOutcome(h, sums, delta_h, False)
 
 
 def gibbs_sweep_by_residuals(h, theta, data, prior, rng) -> ModelParams:
@@ -134,24 +137,24 @@ class RecordingRng:
         return 0.5
 
 
-def integrate_by_stages(h, p, cfg: TrajectoryConfig, force: Force):
+def integrate_by_stages(h, p, cfg: TrajectoryConfig, kick: Kick):
     """Reference for ``integrate``: every drift forms its own product with p."""
     h, p = h.copy(), p.copy()
     tmp = np.empty_like(h)
-    stages = [(drift * cfg.step_size, kick * cfg.step_size) for drift, kick in cfg.stages]
+    stages = [(drift * cfg.step_size, s * cfg.step_size) for drift, s in cfg.stages]
     for _ in range(cfg.n_steps):
-        for drift, kick in stages:
+        for drift, s in stages:
             h += np.multiply(drift, p, out=tmp)
-            if kick:
-                p -= np.multiply(kick, force(h), out=tmp)
+            if s:
+                kick(h, p, s)
     return h, p
 
 
-def leapfrog_step(h, p, step_size: float, force: Force):
+def leapfrog_step(h, p, step_size: float, kick: Kick):
     """One leapfrog step: half drift, full kick, half drift."""
-    return integrate(h, p, TrajectoryConfig(Scheme.LEAPFROG2, step_size, 1), force)
+    return integrate(h, p, TrajectoryConfig(Scheme.LEAPFROG2, step_size, 1), kick)
 
 
-def minimum_norm_step(h, p, step_size: float, lam: float, force: Force):
+def minimum_norm_step(h, p, step_size: float, lam: float, kick: Kick):
     """One minimum-norm step: the five-stage T-V-T-V-T splitting."""
-    return integrate(h, p, TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 1, lam), force)
+    return integrate(h, p, TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 1, lam), kick)

@@ -16,7 +16,6 @@ from rsvhmc.diagnostics import integrated_act, rms_dh, stepsize_scan
 from rsvhmc.gibbs import (
     PriorConfig,
     gibbs_sweep,
-    path_sums,
     sample_mu,
     sample_phi,
     sample_sigma_eta2,
@@ -25,7 +24,7 @@ from rsvhmc.gibbs import (
 )
 from rsvhmc.hmc import default_init, hmc_update, run_chain
 from rsvhmc.integrators import Scheme, TrajectoryConfig, integrate
-from rsvhmc.model import PARAM_NAMES, LatentTarget, ModelParams, ObservedSeries
+from rsvhmc.model import PARAM_NAMES, LatentTarget, ModelParams, ObservedSeries, path_sums
 from rsvhmc.rv import hansen_lunde_c
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
@@ -74,10 +73,10 @@ def equilibrated_h(study_dataset):
     rng = np.random.default_rng(11)
     h = ds.data.ln_rv - STUDY_PARAMS.xi
     target = LatentTarget(STUDY_PARAMS, ds.data)
-    v = target.potential(h)
+    sums = path_sums(h, ds.data)
     for _ in range(400):
-        out = hmc_update(h, v, target, cfg, rng)
-        h, v = out.h_new, out.potential
+        out = hmc_update(h, sums, target, cfg, rng)
+        h, sums = out.h_new, out.sums
     return h
 
 
@@ -144,7 +143,7 @@ class TestCriterion2DhScaling:
             dh = []
             for _ in range(300):
                 p = rng.standard_normal(ds.data.n)
-                end = integrate(equilibrated_h, p, cfg, target.grad)
+                end = integrate(equilibrated_h, p, cfg, target.kick)
                 dh.append(hamiltonian(*end, target) - hamiltonian(equilibrated_h, p, target))
             rms.append(rms_dh(dh))
         slope = float(np.polyfit(np.log(grid), np.log(rms), 1)[0])
@@ -217,11 +216,11 @@ class TestCriterion6Exactness:
         for scheme in Scheme:
             for _ in range(10):
                 theta, h, data = random_instance(rng, 50)
-                force = LatentTarget(theta, data).grad
+                kick = LatentTarget(theta, data).kick
                 p = rng.standard_normal(50)
                 cfg = TrajectoryConfig(scheme, 0.12, 10)
-                fwd_h, fwd_p = integrate(h, p, cfg, force)
-                back_h, back_p = integrate(fwd_h, -fwd_p, cfg, force)
+                fwd_h, fwd_p = integrate(h, p, cfg, kick)
+                back_h, back_p = integrate(fwd_h, -fwd_p, cfg, kick)
                 scale = np.maximum(np.abs(h), 1.0)
                 worst = max(worst, float(np.max(np.abs(back_h - h) / scale)))
                 worst = max(
@@ -349,8 +348,9 @@ class TestCriterion7Samplers:
         for it in range(n_iter):
             data = ObservedSeries(y=y, ln_rv=ln_rv)
             target = LatentTarget(theta, data)
-            h = hmc_update(h, target.potential(h), target, cfg, rng).h_new
-            theta = gibbs_sweep(h, theta, data, prior, rng)
+            out = hmc_update(h, path_sums(h, data), target, cfg, rng)
+            h = out.h_new
+            theta = gibbs_sweep(out.sums, theta, prior, rng)
             try:
                 y_new, ln_rv_new = forward_data(h, theta)
                 ObservedSeries(y=y_new, ln_rv=ln_rv_new)

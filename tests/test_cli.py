@@ -488,6 +488,25 @@ class TestRvBuild:
         assert len(chainio.read_columns(out)["rv"]) == 2
         assert chainio.read_metadata(out)["n_rejected"] == "1"
 
+    def test_repeated_timestamp_day_rejected_not_fatal(self, tmp_path, capsys):
+        ticks = tmp_path / "ticks.csv"
+        self._tick_file(ticks)
+        lines = ticks.read_text().splitlines()
+        # a second 2024-01-03 tick at 09:00:00, right after the first
+        lines.insert(lines.index("2024-01-03T09:00:00,100.0") + 1, "2024-01-03T09:00:00,100.5")
+        # and a third day, so two days remain for the Hansen-Lunde factor
+        lines += [f"2024-01-04T09:0{m}:00,{100.0 + m!r}" for m in range(5)]
+        ticks.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--ticks", ticks, "--out", out) == 0
+        err = capsys.readouterr().err
+        assert "rejected 2024-01-03: timestamps must be strictly increasing\n" in err
+        assert err.count("2024-01-03") == 1
+        cols = chainio.read_columns(out)
+        assert cols["rv"][0] == pytest.approx(299 * (1e-4) ** 2, rel=1e-9)
+        assert len(cols["rv"]) == 2
+        assert chainio.read_metadata(out)["n_rejected"] == "1"
+
     def test_requires_exactly_one_input(self, tmp_path):
         assert run("rv-build", "--out", tmp_path / "o.csv") == 1
 

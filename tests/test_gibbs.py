@@ -8,7 +8,6 @@ from scipy import stats
 from rsvhmc.gibbs import (
     PriorConfig,
     gibbs_sweep,
-    path_sums,
     sample_mu,
     sample_phi,
     sample_sigma_eta2,
@@ -17,7 +16,7 @@ from rsvhmc.gibbs import (
 )
 from rsvhmc.hmc import default_init, run_chain
 from rsvhmc.integrators import Scheme, TrajectoryConfig
-from rsvhmc.model import PARAM_NAMES, ModelParams, ObservedSeries
+from rsvhmc.model import PARAM_NAMES, ModelParams, ObservedSeries, path_sums
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
 from conftest import RecordingRng, gibbs_sweep_by_residuals, random_instance
@@ -216,7 +215,7 @@ class TestPhi:
         theta = ModelParams(phi=0.2, mu=mu, xi=0.0, sigma_eta2=0.1, sigma_u2=0.1)
         data = ObservedSeries(y=np.zeros(5), ln_rv=h)
         with pytest.raises(ValueError, match="denominator"):
-            gibbs_sweep(h, theta, data, PriorConfig(), np.random.default_rng(6))
+            gibbs_sweep(path_sums(h, data), theta, PriorConfig(), np.random.default_rng(6))
 
 
 class TestSweep:
@@ -224,7 +223,7 @@ class TestSweep:
         theta, h, data = random_instance(rng, 30)
         prior = PriorConfig()
         for _ in range(500):
-            theta = gibbs_sweep(h, theta, data, prior, rng)
+            theta = gibbs_sweep(path_sums(h, data), theta, prior, rng)
             assert abs(theta.phi) < 1.0
             assert theta.sigma_eta2 > 0.0
             assert theta.sigma_u2 > 0.0
@@ -252,8 +251,9 @@ class TestSweep:
     def test_series_of_one_refused(self):
         ds = simulate(STUDY_PARAMS, 2, seed=1)
         data = ObservedSeries(y=ds.data.y[:1], ln_rv=ds.data.ln_rv[:1])
+        h = data.ln_rv
         with pytest.raises(ValueError, match="n >= 2"):
-            path_sums(data.ln_rv, data)
+            gibbs_sweep(path_sums(h, data), STUDY_PARAMS, PriorConfig(), np.random.default_rng(0))
         cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
         with pytest.raises(ValueError, match="n >= 2"):
             run_chain(data, default_init(data), cfg, 0, 1, np.random.default_rng(0), h_indices=(0,))
@@ -267,10 +267,11 @@ class TestAgainstResidualSweep:
         """Equal rng use, and every draw within 1e-12 of its parameter's
         largest magnitude along the chain (a draw can land near 0)."""
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        sums = path_sums(h, data)
         a = b = theta
         got, want = np.empty((n_sweeps, 5)), np.empty((n_sweeps, 5))
         for k in range(n_sweeps):
-            a = gibbs_sweep(h, a, data, prior, rng_a)
+            a = gibbs_sweep(sums, a, prior, rng_a)
             b = gibbs_sweep_by_residuals(h, b, data, prior, rng_b)
             assert all(type(v) is float for v in a.as_dict().values())
             got[k], want[k] = list(a.as_dict().values()), list(b.as_dict().values())

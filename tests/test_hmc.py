@@ -12,7 +12,7 @@ from rsvhmc.diagnostics import stepsize_scan
 from rsvhmc.gibbs import PriorConfig, gibbs_sweep
 from rsvhmc.hmc import default_init, hmc_update, run_chain
 from rsvhmc.integrators import Scheme, TrajectoryConfig
-from rsvhmc.model import LatentTarget
+from rsvhmc.model import LatentTarget, path_sums
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
 from conftest import hmc_update_recomputing
@@ -23,8 +23,8 @@ def small_dataset(n=200, seed=17):
 
 
 def update(h, target, cfg, rng):
-    """One update from a path whose potential is not known yet."""
-    return hmc_update(h, target.potential(h), target, cfg, rng)
+    """One update from a path whose sums are not known yet."""
+    return hmc_update(h, path_sums(h, target.data), target, cfg, rng)
 
 
 class TestHmcUpdate:
@@ -73,6 +73,20 @@ class TestHmcUpdate:
             out = update(ds.h_true, target, cfg, np.random.default_rng(2))
         assert out.delta_h == math.inf
 
+    def test_return_term_overflow_is_a_divergence(self):
+        # below h of about -700 the force's exp(ln(y^2/2) + ln s - h) overflows
+        ds = small_dataset()
+        target = LatentTarget(ds.theta_true, ds.data)
+        h = ds.h_true - 690.0
+        sums = path_sums(h, ds.data)
+        cfg = TrajectoryConfig(Scheme.MINIMUM_NORM2, 0.2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hmc_update(h, sums, target, cfg, np.random.default_rng(9))
+        assert out.delta_h == math.inf and not out.accepted
+        assert out.sums is sums
+        np.testing.assert_array_equal(out.h_new, h)
+
     @pytest.mark.parametrize("step_size,accepted", [(1e-6, True), (50.0, False)])
     def test_input_path_is_not_modified(self, step_size, accepted):
         ds = small_dataset()
@@ -90,7 +104,7 @@ class TestHmcUpdate:
         first = update(ds.h_true, target, cfg, rng)
         assert first.accepted
         kept = first.h_new.copy()
-        hmc_update(first.h_new, first.potential, target, cfg, rng)
+        hmc_update(first.h_new, first.sums, target, cfg, rng)
         np.testing.assert_array_equal(first.h_new, kept)
 
     @pytest.mark.parametrize(
@@ -105,7 +119,8 @@ class TestHmcUpdate:
             assert out.delta_h == math.inf
         else:
             assert math.isfinite(out.delta_h) and out.accepted is (kind == "accepted")
-        assert out.potential == target.potential(out.h_new)
+        assert out.sums == path_sums(out.h_new, ds.data)
+        assert target.potential_from(out.sums) == target.potential(out.h_new)
 
     def test_energy_identity_in_equilibrium(self):
         # <exp(-delta H)> = 1 for a reversible volume-preserving proposal
@@ -114,14 +129,14 @@ class TestHmcUpdate:
         cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 2.0, 0.25)
         rng = np.random.default_rng(3)
         h = ds.h_true.copy()
-        v = target.potential(h)
+        sums = path_sums(h, ds.data)
         for _ in range(300):  # equilibrate
-            out = hmc_update(h, v, target, cfg, rng)
-            h, v = out.h_new, out.potential
+            out = hmc_update(h, sums, target, cfg, rng)
+            h, sums = out.h_new, out.sums
         vals = np.empty(4000)
         for i in range(len(vals)):
-            out = hmc_update(h, v, target, cfg, rng)
-            h, v = out.h_new, out.potential
+            out = hmc_update(h, sums, target, cfg, rng)
+            h, sums = out.h_new, out.sums
             vals[i] = math.exp(-out.delta_h) if math.isfinite(out.delta_h) else 0.0
         mean = np.mean(vals)
         # jackknife over 20 bins
@@ -135,14 +150,14 @@ class TestHmcUpdate:
         target = LatentTarget(ds.theta_true, ds.data)
         rng = np.random.default_rng(4)
         h = ds.h_true.copy()
-        v = target.potential(h)
+        sums = path_sums(h, ds.data)
         rates = []
         for dt in (0.1, 0.3, 0.6, 1.0):
             cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 2.0, dt)
             acc = []
             for _ in range(400):
-                out = hmc_update(h, v, target, cfg, rng)
-                h, v = out.h_new, out.potential
+                out = hmc_update(h, sums, target, cfg, rng)
+                h, sums = out.h_new, out.sums
                 acc.append(out.accepted)
             rates.append(np.mean(acc))
         # statistical check with generous slack
@@ -182,11 +197,11 @@ class TestRunChain:
 
         def h10_draws(n_burn, n_keep, rng):
             h = ds.data.ln_rv - ds.theta_true.xi
-            v = target.potential(h)
+            sums = path_sums(h, ds.data)
             draws = np.empty(n_keep)
             for it in range(n_burn + n_keep):
-                out = hmc_update(h, v, target, cfg, rng)
-                h, v = out.h_new, out.potential
+                out = hmc_update(h, sums, target, cfg, rng)
+                h, sums = out.h_new, out.sums
                 if it >= n_burn:
                     draws[it - n_burn] = h[9]
             return draws
@@ -366,7 +381,8 @@ class TestStartingPath:
 
 
 class TestCarriedPotential:
-    """Against ``hmc_update_recomputing``, which builds the target and V(h) per update."""
+    """Against ``hmc_update_recomputing``, which builds the target and the
+    sums of both trajectory ends per update."""
 
     def test_run_chain_matches_recomputing_loop(self):
         ds = small_dataset(n=80)
@@ -382,7 +398,7 @@ class TestCarriedPotential:
         for k in range(n_iter):
             out = hmc_update_recomputing(h, theta, ds.data, cfg, rng)
             h = out.h_new
-            theta = gibbs_sweep(h, theta, ds.data, prior, rng)
+            theta = gibbs_sweep(path_sums(h, ds.data), theta, prior, rng)
             for name, value in theta.as_dict().items():
                 assert res.params[name][k] == value
             np.testing.assert_array_equal(res.h_samples[k], h[list(h_indices)])
@@ -406,7 +422,7 @@ class TestCarriedPotential:
 
         carried = scan()
 
-        def recomputing(h, v, target, cfg, rng):
+        def recomputing(h, sums, target, cfg, rng):
             return hmc_update_recomputing(h, ds.theta_true, ds.data, cfg, rng)
 
         monkeypatch.setattr(rsvhmc.diagnostics, "hmc_update", recomputing)
@@ -446,9 +462,9 @@ class TestOperationCount:
         steps = []
         original = rsvhmc.diagnostics.hmc_update
 
-        def recording(h, v, target, cfg, rng):
+        def recording(h, sums, target, cfg, rng):
             steps.append(cfg.step_size)
-            return original(h, v, target, cfg, rng)
+            return original(h, sums, target, cfg, rng)
 
         monkeypatch.setattr(rsvhmc.diagnostics, "hmc_update", recording)
         grid, n_traj, n_warm = [0.4, 0.2, 0.1], 20, 30
@@ -470,3 +486,14 @@ class TestOperationCount:
         run_chain(ds.data, default_init(ds.data), cfg, 7, 11, np.random.default_rng(4))
         assert len(updates) == 7 + 11
         assert len(builds) == 7 + 11
+
+    def test_run_chain_takes_each_path_sums_once(self, monkeypatch):
+        # the starting path, then each trajectory's end; V comes from those sums
+        ds = small_dataset(n=40)
+        sums = self.count(monkeypatch, rsvhmc.model, "path_sums")
+        potentials = self.count(monkeypatch, rsvhmc.model.LatentTarget, "potential")
+        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.1)
+        res = run_chain(ds.data, default_init(ds.data), cfg, 7, 30, np.random.default_rng(4))
+        assert len(sums) == 1 + 7 + 30
+        assert len(potentials) == 0
+        assert 0 < res.accepted.sum() < 30  # both outcomes carry sums

@@ -22,8 +22,13 @@ from conftest import (
 )
 
 
-def harmonic_force(h):
-    return h
+def harmonic_kick(h, p, s):
+    # V = h^2/2, so dV/dh = h
+    p -= s * h
+
+
+def free_kick(h, p, s):
+    pass
 
 
 def drift_matrix(a):
@@ -80,13 +85,13 @@ class TestConfig:
 
 class TestLeapfrog:
     def test_free_particle(self):
-        h, p = leapfrog_step(np.array([0.0]), np.array([1.0]), 0.5, lambda h: np.zeros_like(h))
+        h, p = leapfrog_step(np.array([0.0]), np.array([1.0]), 0.5, free_kick)
         assert h[0] == pytest.approx(0.5)
         assert p[0] == pytest.approx(1.0)
 
     def test_harmonic_single_step(self):
         # expected values from the independent matrix composition
-        h, p = leapfrog_step(np.array([1.0]), np.array([0.0]), 0.1, harmonic_force)
+        h, p = leapfrog_step(np.array([1.0]), np.array([0.0]), 0.1, harmonic_kick)
         expected = leapfrog_matrix(0.1) @ np.array([1.0, 0.0])
         assert h[0] == pytest.approx(expected[0], rel=1e-15)
         assert p[0] == pytest.approx(expected[1], rel=1e-15)
@@ -95,24 +100,23 @@ class TestLeapfrog:
 
     def test_reversibility_single_step(self, rng):
         theta, h, data = random_instance(rng, 10)
-        force = LatentTarget(theta, data).grad
+        kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 10)
-        fwd_h, fwd_p = leapfrog_step(h, p, 0.3, force)
-        back_h, back_p = leapfrog_step(fwd_h, -fwd_p, 0.3, force)
+        fwd_h, fwd_p = leapfrog_step(h, p, 0.3, kick)
+        back_h, back_p = leapfrog_step(fwd_h, -fwd_p, 0.3, kick)
         np.testing.assert_allclose(back_h, h, rtol=1e-12)
         np.testing.assert_allclose(-back_p, p, rtol=1e-12)
 
 
 class TestMinimumNorm:
     def test_free_particle_quarter_lambda(self):
-        free = lambda h: np.zeros_like(h)
-        h, p = minimum_norm_step(np.array([0.0]), np.array([2.0]), 0.5, 0.25, free)
+        h, p = minimum_norm_step(np.array([0.0]), np.array([2.0]), 0.5, 0.25, free_kick)
         assert h[0] == pytest.approx(1.0)
         assert p[0] == pytest.approx(2.0)
 
     def test_harmonic_matches_matrix_composition(self):
         h, p = minimum_norm_step(
-            np.array([1.0]), np.array([0.0]), 0.1, DEFAULT_LAMBDA, harmonic_force
+            np.array([1.0]), np.array([0.0]), 0.1, DEFAULT_LAMBDA, harmonic_kick
         )
         expected = minimum_norm_matrix(0.1, DEFAULT_LAMBDA) @ np.array([1.0, 0.0])
         assert h[0] == pytest.approx(expected[0], rel=1e-14)
@@ -120,10 +124,10 @@ class TestMinimumNorm:
 
     def test_reversibility_single_step(self, rng):
         theta, h, data = random_instance(rng, 10)
-        force = LatentTarget(theta, data).grad
+        kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 10)
-        fwd_h, fwd_p = minimum_norm_step(h, p, 0.3, DEFAULT_LAMBDA, force)
-        back_h, back_p = minimum_norm_step(fwd_h, -fwd_p, 0.3, DEFAULT_LAMBDA, force)
+        fwd_h, fwd_p = minimum_norm_step(h, p, 0.3, DEFAULT_LAMBDA, kick)
+        back_h, back_p = minimum_norm_step(fwd_h, -fwd_p, 0.3, DEFAULT_LAMBDA, kick)
         np.testing.assert_allclose(back_h, h, rtol=1e-12)
         np.testing.assert_allclose(-back_p, p, rtol=1e-12)
 
@@ -132,25 +136,25 @@ class TestIntegrate:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_single_step_equivalence(self, rng, scheme):
         theta, h, data = random_instance(rng, 6)
-        force = LatentTarget(theta, data).grad
+        kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(scheme, 0.2, 1)
-        via_integrate = integrate(h, p, cfg, force)
+        via_integrate = integrate(h, p, cfg, kick)
         if scheme is Scheme.LEAPFROG2:
-            direct = leapfrog_step(h, p, 0.2, force)
+            direct = leapfrog_step(h, p, 0.2, kick)
         else:
-            direct = minimum_norm_step(h, p, 0.2, cfg.lam, force)
+            direct = minimum_norm_step(h, p, 0.2, cfg.lam, kick)
         np.testing.assert_array_equal(via_integrate[0], direct[0])
         np.testing.assert_array_equal(via_integrate[1], direct[1])
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_half_trajectories_compose(self, rng, scheme):
         theta, h, data = random_instance(rng, 6)
-        force = LatentTarget(theta, data).grad
+        kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 6)
-        full = integrate(h, p, TrajectoryConfig(scheme, 0.1, 8), force)
+        full = integrate(h, p, TrajectoryConfig(scheme, 0.1, 8), kick)
         half_cfg = TrajectoryConfig(scheme, 0.1, 4)
-        two_halves = integrate(*integrate(h, p, half_cfg, force), half_cfg, force)
+        two_halves = integrate(*integrate(h, p, half_cfg, kick), half_cfg, kick)
         np.testing.assert_array_equal(full[0], two_halves[0])
         np.testing.assert_array_equal(full[1], two_halves[1])
 
@@ -158,11 +162,11 @@ class TestIntegrate:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_shared_drift_products_match_stagewise_loop(self, rng, scheme, n_steps):
         theta, h, data = random_instance(rng, 6)
-        force = LatentTarget(theta, data).grad
+        kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(scheme, 0.1, n_steps)
-        shared = integrate(h, p, cfg, force)
-        reference = integrate_by_stages(h, p, cfg, force)
+        shared = integrate(h, p, cfg, kick)
+        reference = integrate_by_stages(h, p, cfg, kick)
         np.testing.assert_array_equal(shared[0], reference[0])
         np.testing.assert_array_equal(shared[1], reference[1])
 
@@ -170,11 +174,11 @@ class TestIntegrate:
         # the last drift (0.7) differs from the next step's first (0.3)
         monkeypatch.setitem(SPLITTINGS, Scheme.LEAPFROG2, lambda lam: ((0.3, 1.0), (0.7, 0.0)))
         theta, h, data = random_instance(rng, 6)
-        force = LatentTarget(theta, data).grad
+        kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(Scheme.LEAPFROG2, 0.1, 7)
-        shared = integrate(h, p, cfg, force)
-        reference = integrate_by_stages(h, p, cfg, force)
+        shared = integrate(h, p, cfg, kick)
+        reference = integrate_by_stages(h, p, cfg, kick)
         np.testing.assert_array_equal(shared[0], reference[0])
         np.testing.assert_array_equal(shared[1], reference[1])
 
@@ -183,7 +187,7 @@ class TestIntegrate:
         errors = []
         for dt in (0.02, 0.01):
             cfg = TrajectoryConfig.from_length(scheme, 2.0 * math.pi, dt)
-            h, p = integrate(np.array([1.0]), np.array([0.0]), cfg, harmonic_force)
+            h, p = integrate(np.array([1.0]), np.array([0.0]), cfg, harmonic_kick)
             errors.append(abs(h[0] - 1.0) + abs(p[0]))
         assert errors[1] < errors[0]
         # second-order scheme: halving dt shrinks the error ~4x
@@ -192,11 +196,11 @@ class TestIntegrate:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_trajectory_reversibility(self, rng, scheme):
         theta, h, data = random_instance(rng, 20)
-        force = LatentTarget(theta, data).grad
+        kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 20)
         cfg = TrajectoryConfig(scheme, 0.15, 12)
-        fwd_h, fwd_p = integrate(h, p, cfg, force)
-        back_h, back_p = integrate(fwd_h, -fwd_p, cfg, force)
+        fwd_h, fwd_p = integrate(h, p, cfg, kick)
+        back_h, back_p = integrate(fwd_h, -fwd_p, cfg, kick)
         np.testing.assert_allclose(back_h, h, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(-back_p, p, rtol=1e-10, atol=1e-12)
 
@@ -207,7 +211,7 @@ class TestStructure:
     )
     def test_force_evaluations_per_step(self, rng, scheme, evals):
         theta, h, data = random_instance(rng, 6)
-        counter = CountingForce(LatentTarget(theta, data).grad)
+        counter = CountingForce(LatentTarget(theta, data).kick)
         p = rng.normal(0.0, 1.0, 6)
         n_steps = 7
         integrate(h, p, TrajectoryConfig(scheme, 0.1, n_steps), counter)
@@ -217,14 +221,14 @@ class TestStructure:
     def test_volume_preservation(self, rng, scheme):
         # single-site instance: 2-dimensional phase space, numeric Jacobian
         theta, h, data = random_instance(rng, 1)
-        force = LatentTarget(theta, data).grad
+        kick = LatentTarget(theta, data).kick
 
         def step(z):
             h, p = np.array([z[0]]), np.array([z[1]])
             if scheme is Scheme.LEAPFROG2:
-                h, p = leapfrog_step(h, p, 0.2, force)
+                h, p = leapfrog_step(h, p, 0.2, kick)
             else:
-                h, p = minimum_norm_step(h, p, 0.2, DEFAULT_LAMBDA, force)
+                h, p = minimum_norm_step(h, p, 0.2, DEFAULT_LAMBDA, kick)
             return np.array([h[0], p[0]])
 
         z0 = np.array([h[0], 0.7])
@@ -249,7 +253,7 @@ class TestStructure:
             dh = []
             for _ in range(200):
                 p = rng.normal(0.0, 1.0, 100)
-                end = integrate(h, p, cfg, target.grad)
+                end = integrate(h, p, cfg, target.kick)
                 dh.append(hamiltonian(*end, target) - hamiltonian(h, p, target))
             rms.append(math.sqrt(np.mean(np.square(dh))))
         slope = np.polyfit(np.log(step_sizes), np.log(rms), 1)[0]

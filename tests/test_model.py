@@ -10,8 +10,11 @@ from rsvhmc.model import (
     ModelParams,
     ObservedSeries,
     grad_potential,
+    path_sums,
     potential,
 )
+
+from rsvhmc.synth import simulate
 
 from conftest import fd_gradient, hamiltonian, random_instance
 
@@ -56,6 +59,18 @@ def grad_by_residuals(h, theta, data):
         ell / su2, mu / se2, (1.0 / su2 + (1.0 + phi**2) / se2) * h,
     )
     return grad, max(float(np.max(np.abs(t), initial=0.0)) for t in terms)
+
+
+def potential_by_terms(h, theta, data):
+    """V(h) in residual form, summed term by term with ``math.fsum``."""
+    phi, mu, se2, su2 = theta.phi, theta.mu, theta.sigma_eta2, theta.sigma_u2
+    terms = [(1.0 - phi**2) * (h[0] - mu) ** 2 / (2.0 * se2)]
+    for t in range(len(h)):
+        terms += [h[t] / 2.0, 0.5 * data.y[t] ** 2 * math.exp(-h[t])]
+        terms.append((data.ln_rv[t] - theta.xi - h[t]) ** 2 / (2.0 * su2))
+    for t in range(len(h) - 1):
+        terms.append((h[t + 1] - mu - phi * (h[t] - mu)) ** 2 / (2.0 * se2))
+    return math.fsum(terms)
 
 
 class TestParamValidation:
@@ -189,6 +204,75 @@ class TestLatentTarget:
         h = np.array([0.0, 720.0, 0.0])
         expected, scale = grad_by_residuals(h, theta, data)
         np.testing.assert_allclose(grad_potential(h, theta, data), expected, rtol=0.0, atol=1e-13 * scale)
+
+
+class TestKick:
+    """``kick(h, p, s)`` is p - s dV/dh, with dV/dh from the residual form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_matches_residual_gradient(self, rng, n):
+        for _ in range(10):
+            theta, h, data = random_instance(rng, n)
+            y = data.y.copy()
+            y[rng.integers(n)] = 0.0  # a site without a return term
+            data = ObservedSeries(y=y, ln_rv=data.ln_rv)
+            target = LatentTarget(theta, data)
+            expected, scale = grad_by_residuals(h, theta, data)
+            # several coefficients on one target, one of them twice
+            for s in (0.5 * 0.222, 1.0, 0.037, 0.5 * 0.222):
+                p = rng.normal(0.0, 1.0, n)
+                kicked = p.copy()
+                target.kick(h, kicked, s)
+                tol = 1e-13 * max(s * scale, float(np.max(np.abs(p))))
+                # every site, both ends included
+                np.testing.assert_allclose(kicked, p - s * expected, rtol=0.0, atol=tol)
+                np.testing.assert_allclose(kicked, p - s * target.grad(h), rtol=0.0, atol=tol)
+
+    def test_leaves_position_alone(self, rng):
+        theta, h, data = random_instance(rng, 20)
+        kept = h.copy()
+        LatentTarget(theta, data).kick(h, rng.normal(0.0, 1.0, 20), 0.1)
+        np.testing.assert_array_equal(h, kept)
+
+    def test_return_term_overflow_gives_non_finite_momentum(self):
+        # exp(ln(y^2/2) + ln s - h) overflows below h of about -700
+        theta = ModelParams(phi=0.5, mu=0.1, xi=0.2, sigma_eta2=0.3, sigma_u2=0.4)
+        data = ObservedSeries(y=[1.0, 1.0, 1.0], ln_rv=[0.0, 0.0, 0.0])
+        p = np.zeros(3)
+        with np.errstate(over="ignore"):
+            LatentTarget(theta, data).kick(np.array([0.0, -800.0, 0.0]), p, 0.1)
+        assert p[1] == math.inf
+
+
+class TestPotentialFromSums:
+    """V from ``path_sums`` against the residual form summed term by term."""
+
+    @staticmethod
+    def assert_matches(h, theta, data):
+        target = LatentTarget(theta, data)
+        want = potential_by_terms(h, theta, data)
+        got = target.potential_from(path_sums(h, data))
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0), (theta, got, want)
+        assert target.potential(h) == got
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 4000])
+    def test_random_instances(self, rng, n):
+        for _ in range(10):
+            theta, h, data = random_instance(rng, n)
+            self.assert_matches(h, theta, data)
+
+    @pytest.mark.parametrize("phi", [-0.999, 0.0, 0.999])
+    @pytest.mark.parametrize("mu", [-50.0, 0.0, 50.0])
+    @pytest.mark.parametrize("n", [2, 50, 4000])
+    def test_extreme_parameters(self, phi, mu, n):
+        theta = ModelParams(phi=phi, mu=mu, xi=0.3, sigma_eta2=1e-3, sigma_u2=0.2)
+        ds = simulate(theta, n, seed=n)
+        self.assert_matches(ds.h_true, theta, ds.data)
+
+    def test_return_sum(self, rng):
+        theta, h, data = random_instance(rng, 30)
+        s = path_sums(h, data)
+        assert s.ret == pytest.approx(float(np.sum(0.5 * data.y**2 * np.exp(-h))), rel=1e-13)
 
 
 class TestHamiltonian:

@@ -55,8 +55,8 @@ class TestDailyRv:
             daily_rv(day, 60)
 
     def test_validation(self):
-        with pytest.raises(RvError):
-            make_day(D1, [0, 0], [1.0, 1.0])  # non-increasing timestamps
+        with pytest.raises(RvError, match="^timestamps must be strictly increasing$"):
+            daily_rv(make_day(D1, [0, 0], [1.0, 1.0]), 60)  # non-increasing timestamps
         with pytest.raises(RvError, match="no observations"):
             make_day(D1, [], [])  # empty day
 
@@ -130,6 +130,21 @@ class TestBuildSeries:
         assert report.series.dates == (D1,)
         assert [r.date for r in report.rejected] == [D2]
         assert report.rejected[0].reason == "fewer than 2 grid points at 60s spacing"
+
+    @pytest.mark.parametrize(
+        "seconds", [[0, 60, 60, 120], [0, 120, 60]], ids=["repeated", "out_of_order"]
+    )
+    def test_unordered_day_dropped_with_reason(self, seconds):
+        days = [
+            make_day(D1, [0, 60], [0.0, 0.01]),
+            make_day(D2, seconds, np.linspace(0.0, 0.02, len(seconds))),
+            make_day(D3, [0, 60], [0.0, -0.01]),
+        ]
+        report = build_series(days, 60)
+        assert report.series.dates == (D1, D3)
+        assert [(r.date, r.reason) for r in report.rejected] == [
+            (D2, "timestamps must be strictly increasing")
+        ]
 
     def test_all_rejected_names_each_date_once(self):
         days = [make_day(D1, [0], [0.0]), make_day(D2, [0, 60, 120], [1.0, 1.0, 1.0])]
