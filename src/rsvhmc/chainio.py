@@ -7,6 +7,7 @@ that round-trips exactly, so every file reads back bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import warnings
 from pathlib import Path
@@ -31,23 +32,31 @@ def fmt(value) -> str:
 _PLAIN = frozenset((float, int, str))
 
 
-def write_table(path: Path, header: list[str], rows) -> None:
-    """Write ``<path>.tmp`` row by row, then rename it to ``path``; a write that
-    fails part-way leaves neither file."""
+@contextlib.contextmanager
+def atomic_write(path: Path, mode: str = "w", **kwargs):
+    """Open ``<path>.tmp`` for writing, creating its directory, and rename it to
+    ``path`` when the block ends; a block that fails part-way leaves ``path``
+    as it was and no ``.tmp``. Every file the program writes goes through here."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(
-                row if _PLAIN.issuperset(map(type, row)) else [fmt(v) for v in row]
-                for row in map(tuple, rows)
-            )
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_table(path: Path, header: list[str], rows) -> None:
+    """Write a table with a header row, atomically (see ``atomic_write``)."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            row if _PLAIN.issuperset(map(type, row)) else [fmt(v) for v in row]
+            for row in map(tuple, rows)
+        )
 
 
 def read_table(path: Path) -> dict[str, list[str]]:
@@ -104,10 +113,9 @@ def meta_path(path: Path) -> Path:
 
 
 def write_metadata(path: Path, meta: dict) -> None:
-    """Sidecar ``<file>.meta`` with one ``key = value`` line per entry."""
-    target = meta_path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w") as fh:
+    """Sidecar ``<file>.meta`` with one ``key = value`` line per entry, written
+    atomically."""
+    with atomic_write(meta_path(path)) as fh:
         for key, value in meta.items():
             fh.write(f"{key} = {fmt(value)}\n")
 

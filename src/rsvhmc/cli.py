@@ -7,7 +7,8 @@ Commands:
     rv-build   build a daily (y, RV) series from tick or daily input
     diagnose   recompute posterior summaries from an existing chain file
 
-A JSON config file (--config) supplies defaults; explicit flags override.
+A JSON config file (--config) supplies defaults, required flags included;
+explicit flags override.
 Values are checked by the library call that uses them. Exit codes: 0 success,
 1 validation error (bad inputs or flags, a missing input file or a directory
 given as one), 2 runtime failure.
@@ -34,6 +35,11 @@ from .model import PARAM_NAMES, ModelParams
 from .synth import STUDY_N, STUDY_PARAMS, simulate
 
 
+# chain.csv's columns that are not draws: `iteration` first, the draws of
+# ChainResult.draws, then the rest; diagnose summarises every other column
+_RUN_COLUMNS = ("iteration", "delta_h", "accepted")
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as a ValueError (exit 1); subparsers share the class."""
 
@@ -41,9 +47,35 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+class _Config(argparse.Action):
+    """``--config FILE`` installs the JSON object's values as defaults of the
+    subcommand flags before the subcommand is parsed, so explicit flags win and
+    a config value satisfies a required flag. Values go in as text (but for a
+    switch's boolean) so that argparse checks each through its flag's type."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            values = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ValueError(f"config {path} must be a JSON object")
+        values = {k.replace("-", "_"): v if isinstance(v, bool) else str(v) for k, v in values.items()}
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        unknown = set(values)
+        for sub in subparsers.choices.values():
+            for action in sub._actions:
+                if action.dest in values:
+                    action.default, action.required = values[action.dest], False
+                    unknown.discard(action.dest)
+        if unknown:
+            raise ValueError(f"config {path}: unknown keys {', '.join(sorted(unknown))}")
+        setattr(namespace, self.dest, path)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rsvhmc")
-    parser.add_argument("--config", type=Path, help="JSON file with flag defaults")
+    parser.add_argument("--config", type=Path, action=_Config, help="JSON file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset")
@@ -108,34 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    try:
-        defaults = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(defaults, dict):
-        raise ValueError(f"config {args.config} must be a JSON object")
-    # config supplies defaults; explicit flags win because we re-parse with
-    # the config values installed as subcommand defaults, as text (but for a
-    # switch's boolean) so that argparse checks each through its flag's type
-    cleaned = {
-        k.replace("-", "_"): v if isinstance(v, bool) else str(v) for k, v in defaults.items()
-    }
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    known = set()
-    for sub in subparsers.choices.values():
-        dests = {a.dest for a in sub._actions}
-        known |= dests
-        sub.set_defaults(**{k: v for k, v in cleaned.items() if k in dests})
-    unknown = sorted(set(cleaned) - known)
-    if unknown:
-        raise ValueError(f"config {args.config}: unknown keys {', '.join(unknown)}")
-    return parser.parse_args(argv)
-
-
 def _parse_theta(args, meta: dict[str, str] | None) -> ModelParams:
     vals = {}
     for name in PARAM_NAMES:
@@ -195,12 +199,11 @@ def cmd_estimate(args) -> int:
         resume=args.resume,
     )
 
-    cols = result.columns()
-    header = ["iteration", *cols.keys(), "delta_h", "accepted"]
+    header = [_RUN_COLUMNS[0], *result.draws, *_RUN_COLUMNS[1:]]
     n_rows = len(result.delta_h)
     rows = zip(
         range(n_rows),
-        *(col.tolist() for col in cols.values()),
+        *(col.tolist() for col in result.draws.values()),
         result.delta_h.tolist(),
         result.accepted.astype(int).tolist(),
     )
@@ -215,13 +218,17 @@ def cmd_estimate(args) -> int:
             "n_steps": cfg.n_steps,
             "total_length": cfg.total_length,
             "lambda": cfg.lam,
+            "a_eta": prior.a_eta,
+            "b_eta": prior.b_eta,
+            "a_u": prior.a_u,
+            "b_u": prior.b_u,
             "n_burn": args.n_burn,
             "n_keep": args.n_keep,
             "acceptance_rate": result.acceptance_rate,
             "wall_time_seconds": result.wall_time_seconds,
         },
     )
-    _write_summary(out_dir / "summary.csv", cols)
+    _write_summary(out_dir / "summary.csv", result.draws)
     ckpt.unlink(missing_ok=True)
     print(
         f"wrote {chain_path} ({n_rows} kept, acceptance "
@@ -367,7 +374,7 @@ def cmd_rv_build(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cols = chainio.read_columns(args.chain)
-    params = [k for k in cols if k not in ("iteration", "delta_h", "accepted")]
+    params = [k for k in cols if k not in _RUN_COLUMNS]
     if not params:
         raise ValueError(f"{args.chain}: no parameter columns found")
     chainio.require_numeric(args.chain, cols, params)
@@ -388,7 +395,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
+        args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import model
+from . import chainio, model
 from .gibbs import PriorConfig, gibbs_sweep
 from .integrators import TrajectoryConfig, integrate
 from .model import PARAM_NAMES, ModelParams, ObservedSeries
@@ -87,25 +87,18 @@ def start_path(h, data: ObservedSeries) -> np.ndarray:
 class ChainResult:
     """Kept draws plus run-level statistics.
 
-    ``params`` and ``h_samples`` are views of one (5 + len(h_indices), n_keep)
-    record array.
+    ``draws`` maps each draw column's name, ``phi`` ... ``sigma_u2`` in
+    ``PARAM_NAMES`` order and then ``h_<i + 1>`` for each recorded index i, to
+    its row of one preallocated (5 + len(h_indices), n_keep) array.
     """
 
-    params: dict[str, np.ndarray]
-    h_samples: np.ndarray  # shape (n_keep, len(h_indices))
-    h_indices: tuple[int, ...]
+    draws: dict[str, np.ndarray]
     delta_h: np.ndarray
     accepted: np.ndarray
     acceptance_rate: float
     final_theta: ModelParams
     final_h: np.ndarray
     wall_time_seconds: float  # summed over every resumed piece of the run
-
-    def columns(self) -> dict[str, np.ndarray]:
-        cols = dict(self.params)
-        for j, idx in enumerate(self.h_indices):
-            cols[f"h_{idx + 1}"] = self.h_samples[:, j]
-        return cols
 
 
 def run_chain(
@@ -139,15 +132,16 @@ def run_chain(
     theta, h = init
     h = start_path(h, data)
     h_indices = tuple(int(i) for i in h_indices)
-    for k, i in enumerate(h_indices):
-        if not 0 <= i < data.n:
-            raise ValueError(f"recorded h index {i} (column h_{i + 1}) out of range for n={data.n}")
-        if i in h_indices[:k]:
-            # each index is one column, h_<i + 1>, of the chain's records
-            raise ValueError(f"recorded h index {i} (column h_{i + 1}) given twice")
-
+    # the one place the draw columns are named
+    names = (*PARAM_NAMES, *(f"h_{i + 1}" for i in h_indices))
     n_par = len(PARAM_NAMES)
-    draws = np.empty((n_par + len(h_indices), n_keep))
+    for i, name in zip(h_indices, names[n_par:]):
+        if not 0 <= i < data.n:
+            raise ValueError(f"recorded h index {i} (column {name}) out of range for n={data.n}")
+        if names.count(name) > 1:
+            raise ValueError(f"recorded h index {i} (column {name}) given twice")
+
+    draws = np.empty((len(names), n_keep))
     delta_h = np.empty(n_keep)
     accepted = np.empty(n_keep, dtype=bool)
     records = {"draws": draws, "delta_h": delta_h, "accepted": accepted}
@@ -202,9 +196,7 @@ def run_chain(
             )
 
     return ChainResult(
-        params=dict(zip(PARAM_NAMES, draws)),
-        h_samples=draws[n_par:].T,
-        h_indices=h_indices,
+        draws=dict(zip(names, draws)),
         delta_h=delta_h,
         accepted=accepted,
         acceptance_rate=n_accept / total,
@@ -226,11 +218,8 @@ def _fingerprint(data, init, cfg, n_burn, n_keep, prior, h_indices, rng_state) -
 
 def save_checkpoint(path: Path, state: dict, **arrays: np.ndarray) -> None:
     """Write ``state`` as JSON plus ``arrays`` to one .npz at ``path``, creating its directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with chainio.atomic_write(path, "wb") as fh:
         np.savez(fh, state=np.array(json.dumps(state)), **arrays)
-    tmp.replace(path)
 
 
 def _load_checkpoint(path: Path, fingerprint: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -35,18 +35,10 @@ class Scheme(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Scheme":
-        key = name.strip().lower()
-        aliases = {
-            "2lfi": cls.LEAPFROG2,
-            "leapfrog": cls.LEAPFROG2,
-            "leapfrog2": cls.LEAPFROG2,
-            "2mni": cls.MINIMUM_NORM2,
-            "minimum_norm": cls.MINIMUM_NORM2,
-            "minimum_norm2": cls.MINIMUM_NORM2,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown integrator scheme {name!r}")
-        return aliases[key]
+        try:
+            return cls(name.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown integrator scheme {name!r}") from None
 
 
 # One step of each scheme as (drift, kick) stages in units of the step size,

@@ -100,7 +100,8 @@ class TestCriterion1Recovery:
     def test_full_study(self, study_chain):
         details = []
         ok = True
-        for name, draws in study_chain.params.items():
+        for name in PARAM_NAMES:
+            draws = study_chain.draws[name]
             mean, sd = float(np.mean(draws)), float(np.std(draws, ddof=1))
             within_posterior = abs(mean - TRUE[name]) <= 3 * sd
             within_paper = abs(mean - PAPER_MEANS[name]) <= 3 * PAPER_SDS[name]
@@ -117,7 +118,8 @@ class TestCriterion1Recovery:
         )
         ok = True
         details = []
-        for name, draws in res.params.items():
+        for name in PARAM_NAMES:
+            draws = res.draws[name]
             mean, sd = float(np.mean(draws)), float(np.std(draws, ddof=1))
             ok = ok and abs(mean - TRUE[name]) <= 3 * sd
             details.append(f"{name}={mean:.3f}±{sd:.3f}")
@@ -183,7 +185,7 @@ class TestCriterion4EfficiencyRatio:
 
 class TestCriterion5Autocorrelation:
     def test_h10_act(self, study_chain):
-        est = integrated_act(study_chain.h_samples[:, 0])
+        est = integrated_act(study_chain.draws["h_10"])
         report(
             "5 (h_10)", est.two_tau_int <= 60.0,
             f"2 tau_int = {est.two_tau_int:.1f} ± {est.error:.1f} (window {est.window})",

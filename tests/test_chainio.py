@@ -108,6 +108,21 @@ class TestWriteTable:
         assert not (tmp_path / "t.csv.tmp").exists()
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("killed mid-write")
+
+
+def test_failed_metadata_rewrite_keeps_previous_sidecar(tmp_path):
+    path = tmp_path / "t.csv"
+    chainio.write_metadata(path, {"a": 1})
+    before = chainio.meta_path(path).read_bytes()
+    with pytest.raises(RuntimeError):
+        chainio.write_metadata(path, {"a": 2, "b": _Unprintable()})
+    assert chainio.meta_path(path).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv.meta"]
+
+
 class TestReadColumns:
     @pytest.mark.parametrize(
         "text",

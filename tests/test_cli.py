@@ -63,6 +63,8 @@ class TestEstimate:
         meta = chainio.read_metadata(out / "chain.csv")
         assert meta["scheme"] == "2mni"
         assert float(meta["acceptance_rate"]) <= 1.0
+        prior = {k: meta[k] for k in ("a_eta", "b_eta", "a_u", "b_u")}
+        assert prior == {"a_eta": "2.5", "b_eta": "0.025", "a_u": "2.5", "b_u": "0.025"}
         cols = chainio.read_columns(out / "chain.csv")
         assert len(cols["phi"]) == 10
         assert "h_10" in cols
@@ -323,7 +325,7 @@ class TestScan:
         run("simulate", "--out", data, "--n", "80", "--seed", "4")
         out = tmp_path / "scan.csv"
         rc = run(
-            "scan", "--data", data, "--out", out, "--grid", "0.2,0.4", "--scheme", "LeapFrog",
+            "scan", "--data", data, "--out", out, "--grid", "0.2,0.4", "--scheme", " 2LFI",
             "--n-traj", "100", "--n-warm", "20", "--total-length", "1.0", "--lam", "0.2",
             "--seed", "6",
         )
@@ -335,7 +337,7 @@ class TestScan:
         )
         meta = chainio.read_metadata(out)
         assert "optimum.step_size" in meta
-        assert meta["scheme"] == "2lfi"  # the parsed scheme, not the alias given
+        assert meta["scheme"] == "2lfi"  # the parsed scheme, not the spelling given
         # every setting of the scan, so it can be rerun from its metadata
         assert meta["total_length"] == "1.0"
         assert meta["lambda"] == "0.2"
@@ -527,6 +529,7 @@ class TestDiagnose:
         cols = chainio.read_table(summary)
         assert "phi" in cols["parameter"]
         assert "h_10" in cols["parameter"]
+        assert summary.read_bytes() == (out / "summary.csv").read_bytes()
 
     @pytest.mark.parametrize("cell", ["", "abc"], ids=["empty", "text"])
     def test_non_numeric_cell_refused(self, tmp_path, capsys, cell):
@@ -579,6 +582,18 @@ class TestConfigFile:
         assert run("--config", cfg, "simulate", "--out", out) == 0
         assert chainio.read_metadata(out)["theta_true.phi"] == repr(0.1 + 0.2)
         assert (tmp_path / "d_h.csv").exists()
+
+    def test_config_supplies_required_flags(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": "d.csv", "n": 40}))
+        assert run("--config", cfg, "simulate") == 0
+        assert chainio.read_series(tmp_path / "d.csv").n == 40
+        assert run("--config", cfg, "simulate", "--out", "e.csv") == 0  # flag wins
+        assert chainio.read_series(tmp_path / "e.csv").n == 40
+        cfg.write_text(json.dumps({"data": "d.csv", "out": "run", "n_burn": 2, "n_keep": 5}))
+        assert run("--config", cfg, "estimate") == 0
+        assert len(chainio.read_columns(tmp_path / "run" / "chain.csv")["phi"]) == 5
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -275,6 +275,7 @@ class TestPosteriorSummary:
         ds = simulate(STUDY_PARAMS, 150, seed=16)
         from rsvhmc.hmc import default_init, run_chain
         from rsvhmc.integrators import TrajectoryConfig
+        from rsvhmc.model import PARAM_NAMES
 
         cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 2.0, 0.25)
         summaries = []
@@ -287,7 +288,7 @@ class TestPosteriorSummary:
                 6000,
                 np.random.default_rng(seed),
             )
-            summaries.append(posterior_summary(res.params))
+            summaries.append(posterior_summary({k: res.draws[k] for k in PARAM_NAMES}))
         compared = 0
         for s1, s2 in zip(*summaries):
             if s1.act is None or s2.act is None:

@@ -12,7 +12,7 @@ from rsvhmc.diagnostics import stepsize_scan
 from rsvhmc.gibbs import PriorConfig, gibbs_sweep
 from rsvhmc.hmc import default_init, hmc_update, run_chain
 from rsvhmc.integrators import Scheme, TrajectoryConfig
-from rsvhmc.model import LatentTarget, path_sums
+from rsvhmc.model import PARAM_NAMES, LatentTarget, path_sums
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
 from conftest import hmc_update_recomputing
@@ -175,16 +175,16 @@ class TestRunChain:
             runs.append(
                 run_chain(ds.data, default_init(ds.data), cfg, 5, 1, rng, h_indices=(9,))
             )
-        assert runs[0].params["phi"][0] == runs[1].params["phi"][0]
-        np.testing.assert_array_equal(runs[0].h_samples, runs[1].h_samples)
+        assert runs[0].draws["phi"][0] == runs[1].draws["phi"][0]
+        np.testing.assert_array_equal(runs[0].draws["h_10"], runs[1].draws["h_10"])
 
     def test_chains_bit_identical_for_same_seed(self):
         ds = small_dataset(n=120)
         cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 1.0, 0.2)
         a = run_chain(ds.data, default_init(ds.data), cfg, 10, 50, np.random.default_rng(7))
         b = run_chain(ds.data, default_init(ds.data), cfg, 10, 50, np.random.default_rng(7))
-        for name in a.params:
-            np.testing.assert_array_equal(a.params[name], b.params[name])
+        for name in a.draws:
+            np.testing.assert_array_equal(a.draws[name], b.draws[name])
         np.testing.assert_array_equal(a.delta_h, b.delta_h)
         np.testing.assert_array_equal(a.accepted, b.accepted)
 
@@ -233,9 +233,8 @@ class TestRunChain:
             np.random.default_rng(0),
             h_indices=(0, 9, 39),
         )
-        assert res.h_samples.shape == (20, 3)
-        cols = res.columns()
-        assert {"h_1", "h_10", "h_40"} <= set(cols)
+        assert list(res.draws) == [*PARAM_NAMES, "h_1", "h_10", "h_40"]
+        assert all(col.shape == (20,) for col in res.draws.values())
 
     def test_bad_h_index_rejected(self):
         ds = small_dataset(n=40)
@@ -313,9 +312,9 @@ class TestResume:
         t0 = time.perf_counter()
         resumed = self.run(ds, ckpt, resume=True)
         piece = time.perf_counter() - t0
-        for name in unbroken.params:
-            np.testing.assert_array_equal(resumed.params[name], unbroken.params[name])
-        np.testing.assert_array_equal(resumed.h_samples, unbroken.h_samples)
+        assert list(resumed.draws) == list(unbroken.draws)
+        for name in unbroken.draws:
+            np.testing.assert_array_equal(resumed.draws[name], unbroken.draws[name])
         np.testing.assert_array_equal(resumed.delta_h, unbroken.delta_h)
         np.testing.assert_array_equal(resumed.accepted, unbroken.accepted)
         np.testing.assert_array_equal(resumed.final_h, unbroken.final_h)
@@ -334,6 +333,25 @@ class TestResume:
         with pytest.raises(ValueError, match="other data"):
             self.run(ds, ckpt, resume=True, rng_seed=6)
         assert ckpt.read_bytes() == before
+
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        ds = small_dataset(n=60)
+        ckpt = tmp_path / "chain.npz"
+        with monkeypatch.context() as m:
+            self.abort_at(m, 50)
+            with pytest.raises(KeyboardInterrupt):
+                self.run(ds, ckpt)
+        before = ckpt.read_bytes()
+
+        def disk_full(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            self.run(ds, ckpt, resume=True)
+        assert ckpt.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["chain.npz"]
 
     def test_checkpoint_directory_created(self, tmp_path):
         ds = small_dataset(n=60)
@@ -400,8 +418,9 @@ class TestCarriedPotential:
             h = out.h_new
             theta = gibbs_sweep(path_sums(h, ds.data), theta, prior, rng)
             for name, value in theta.as_dict().items():
-                assert res.params[name][k] == value
-            np.testing.assert_array_equal(res.h_samples[k], h[list(h_indices)])
+                assert res.draws[name][k] == value
+            for i in h_indices:
+                assert res.draws[f"h_{i + 1}"][k] == h[i]
             assert res.delta_h[k] == out.delta_h
             assert res.accepted[k] == out.accepted
         np.testing.assert_array_equal(res.final_h, h)

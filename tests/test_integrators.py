@@ -78,9 +78,10 @@ class TestConfig:
 
     def test_scheme_parse(self):
         assert Scheme.parse("2mni") is Scheme.MINIMUM_NORM2
-        assert Scheme.parse("leapfrog") is Scheme.LEAPFROG2
-        with pytest.raises(ValueError):
-            Scheme.parse("rk4")
+        assert Scheme.parse(" 2LFI ") is Scheme.LEAPFROG2
+        for name in ("rk4", "leapfrog"):
+            with pytest.raises(ValueError, match="unknown integrator scheme"):
+                Scheme.parse(name)
 
 
 class TestLeapfrog:
@@ -105,7 +106,9 @@ class TestLeapfrog:
         fwd_h, fwd_p = leapfrog_step(h, p, 0.3, kick)
         back_h, back_p = leapfrog_step(fwd_h, -fwd_p, 0.3, kick)
         np.testing.assert_allclose(back_h, h, rtol=1e-12)
-        np.testing.assert_allclose(-back_p, p, rtol=1e-12)
+        # a reversibility defect is measured against the momentum's scale, so
+        # one rounding at |p| ~ 1 passes for a component near 0
+        np.testing.assert_allclose(-back_p, p, rtol=1e-12, atol=1e-12 * np.max(np.abs(p)))
 
 
 class TestMinimumNorm:
@@ -129,7 +132,9 @@ class TestMinimumNorm:
         fwd_h, fwd_p = minimum_norm_step(h, p, 0.3, DEFAULT_LAMBDA, kick)
         back_h, back_p = minimum_norm_step(fwd_h, -fwd_p, 0.3, DEFAULT_LAMBDA, kick)
         np.testing.assert_allclose(back_h, h, rtol=1e-12)
-        np.testing.assert_allclose(-back_p, p, rtol=1e-12)
+        # a reversibility defect is measured against the momentum's scale, so
+        # one rounding at |p| ~ 1 passes for a component near 0
+        np.testing.assert_allclose(-back_p, p, rtol=1e-12, atol=1e-12 * np.max(np.abs(p)))
 
 
 class TestIntegrate:
