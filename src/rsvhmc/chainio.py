@@ -121,13 +121,18 @@ def write_metadata(path: Path, meta: dict) -> None:
 
 
 def read_metadata(path: Path) -> dict[str, str]:
+    """The ``key = value`` lines of ``<file>.meta``; blank lines are skipped,
+    and any other line is refused."""
     out = {}
-    with open(meta_path(path)) as fh:
-        for line in fh:
+    path = meta_path(path)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            key, _, value = line.partition(" = ")
+            key, sep, value = line.partition(" = ")
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             out[key] = value
     return out
 

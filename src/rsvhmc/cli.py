@@ -10,8 +10,8 @@ Commands:
 A JSON config file (--config) supplies defaults, required flags included;
 explicit flags override.
 Values are checked by the library call that uses them. Exit codes: 0 success,
-1 validation error (bad inputs or flags, a missing input file or a directory
-given as one), 2 runtime failure.
+1 validation error (bad inputs or flags, a missing input file, a directory
+given as one, or a path through a regular file), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .synth import STUDY_N, STUDY_PARAMS, simulate
 # chain.csv's columns that are not draws: `iteration` first, the draws of
 # ChainResult.draws, then the rest; diagnose summarises every other column
 _RUN_COLUMNS = ("iteration", "delta_h", "accepted")
+# estimate's prior flags, each defaulting to PriorConfig's value
+_PRIOR_NAMES = ("a_eta", "b_eta", "a_u", "b_u")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
 class _Config(argparse.Action):
     """``--config FILE`` installs the JSON object's values as defaults of the
     subcommand flags before the subcommand is parsed, so explicit flags win and
-    a config value satisfies a required flag. Values go in as text (but for a
-    switch's boolean) so that argparse checks each through its flag's type."""
+    a config value satisfies a required flag. Values go in as text so that
+    argparse checks each through its flag's type; a switch's must be a boolean."""
 
     def __call__(self, parser, namespace, path, option_string=None):
         try:
@@ -60,14 +62,21 @@ class _Config(argparse.Action):
             raise ValueError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(values, dict):
             raise ValueError(f"config {path} must be a JSON object")
-        values = {k.replace("-", "_"): v if isinstance(v, bool) else str(v) for k, v in values.items()}
+        values = {k.replace("-", "_"): v for k, v in values.items()}
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         unknown = set(values)
         for sub in subparsers.choices.values():
             for action in sub._actions:
-                if action.dest in values:
-                    action.default, action.required = values[action.dest], False
-                    unknown.discard(action.dest)
+                if action.dest not in values:
+                    continue
+                value = values[action.dest]
+                if not isinstance(action, argparse._StoreTrueAction):
+                    value = str(value)
+                elif not isinstance(value, bool):
+                    flag = action.option_strings[0]
+                    raise ValueError(f"config {path}: {flag} takes true or false, got {value!r}")
+                action.default, action.required = value, False
+                unknown.discard(action.dest)
         if unknown:
             raise ValueError(f"config {path}: unknown keys {', '.join(sorted(unknown))}")
         setattr(namespace, self.dest, path)
@@ -92,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--scheme", default="2mni", help="2lfi or 2mni")
     est.add_argument("--step-size", type=float, default=0.222)
     est.add_argument("--total-length", type=float, default=2.0)
-    est.add_argument("--n-steps", type=int, help="override the length-derived step count")
-    est.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)
     est.add_argument("--n-burn", type=int, default=5000)
     est.add_argument("--n-keep", type=int, default=50000)
     est.add_argument("--seed", type=int, default=0)
@@ -102,10 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="10",
         help="comma-separated 1-based h indices to record (default: 10)",
     )
-    est.add_argument("--a-eta", type=float, default=2.5)
-    est.add_argument("--b-eta", type=float, default=0.025)
-    est.add_argument("--a-u", type=float, default=2.5)
-    est.add_argument("--b-u", type=float, default=0.025)
+    for name in _PRIOR_NAMES:
+        est.add_argument(f"--{name.replace('_', '-')}", type=float, default=getattr(PriorConfig, name))
     est.add_argument("--checkpoint-every", type=int, default=5000)
     est.add_argument("--resume", action="store_true", help="resume from the checkpoint in --out")
 
@@ -115,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--scheme", default="2mni")
     scan.add_argument("--grid", required=True, help="comma-separated step sizes")
     scan.add_argument("--total-length", type=float, default=2.0)
-    scan.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)
     scan.add_argument("--n-traj", type=int, default=2000)
     scan.add_argument(
         "--n-warm",
@@ -171,11 +175,8 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     data = chainio.read_series(args.data)
     scheme = Scheme.parse(args.scheme)
-    if args.n_steps is not None:
-        cfg = TrajectoryConfig(scheme, args.step_size, args.n_steps, args.lam)
-    else:
-        cfg = TrajectoryConfig.from_length(scheme, args.total_length, args.step_size, args.lam)
-    prior = PriorConfig(a_eta=args.a_eta, b_eta=args.b_eta, a_u=args.a_u, b_u=args.b_u)
+    cfg = TrajectoryConfig.from_length(scheme, args.total_length, args.step_size)
+    prior = PriorConfig(**{name: getattr(args, name) for name in _PRIOR_NAMES})
     try:
         h_indices = tuple(int(tok) - 1 for tok in str(args.record_h).split(",") if tok.strip())
     except ValueError as exc:
@@ -217,11 +218,8 @@ def cmd_estimate(args) -> int:
             "step_size": cfg.step_size,
             "n_steps": cfg.n_steps,
             "total_length": cfg.total_length,
-            "lambda": cfg.lam,
-            "a_eta": prior.a_eta,
-            "b_eta": prior.b_eta,
-            "a_u": prior.a_u,
-            "b_u": prior.b_u,
+            "lambda": DEFAULT_LAMBDA,
+            **{name: getattr(prior, name) for name in _PRIOR_NAMES},
             "n_burn": args.n_burn,
             "n_keep": args.n_keep,
             "acceptance_rate": result.acceptance_rate,
@@ -271,7 +269,6 @@ def cmd_scan(args) -> int:
         n_traj=args.n_traj,
         n_warm=args.n_warm,
         seed=args.seed,
-        lam=args.lam,
     )
     chainio.write_table(
         args.out,
@@ -284,7 +281,7 @@ def cmd_scan(args) -> int:
         {
             "scheme": scheme.value,
             "total_length": args.total_length,
-            "lambda": args.lam,
+            "lambda": DEFAULT_LAMBDA,
             "n_traj": args.n_traj,
             "n_warm": args.n_warm,
             "seed": args.seed,
@@ -397,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import model
 from .hmc import default_init, hmc_update, start_path
-from .integrators import DEFAULT_LAMBDA, Scheme, TrajectoryConfig
+from .integrators import Scheme, TrajectoryConfig
 from .model import ModelParams, ObservedSeries
 
 
@@ -219,7 +219,6 @@ def stepsize_scan(
     n_warm: int = 500,
     seed: int = 0,
     h0: np.ndarray | None = None,
-    lam: float = DEFAULT_LAMBDA,
 ) -> ScanResult:
     """Acceptance, RMS delta-H and efficiency over a grid of step sizes.
 
@@ -240,7 +239,7 @@ def stepsize_scan(
         raise ValueError(f"n_warm must be >= 0, got {n_warm}")
     h = start_path(default_init(data)[1] if h0 is None else h0, data)
     rng = np.random.default_rng(seed)
-    cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt, lam) for dt in grid]
+    cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt) for dt in grid]
     target = model.LatentTarget(theta, data)
     sums = model.path_sums(h, data)
     # warm at the smallest step (the first on a tie), which accepts most, so
@@ -248,7 +247,7 @@ def stepsize_scan(
     warm = min(cfgs, key=lambda c: c.step_size)
     # short pre-warm at a fifth of the step size: a rough starting path can
     # have uniformly large delta-H at the target step, stalling the warm-up
-    pre_cfg = TrajectoryConfig(scheme, warm.step_size / 5.0, warm.n_steps, warm.lam)
+    pre_cfg = TrajectoryConfig(scheme, warm.step_size / 5.0, warm.n_steps)
     for _ in range(min(100, n_warm)):
         out = hmc_update(h, sums, target, pre_cfg, rng)
         h, sums = out.h_new, out.sums

@@ -5,8 +5,8 @@ Two reversible, volume-preserving schemes:
 * second-order leapfrog, splitting exp(dt T/2) exp(dt V) exp(dt T/2),
   one force evaluation per step;
 * second-order minimum-norm, splitting
-  exp(lam dt T) exp(dt V/2) exp((1-2 lam) dt T) exp(dt V/2) exp(lam dt T),
-  two force evaluations per step.
+  exp(l dt T) exp(dt V/2) exp((1-2 l) dt T) exp(dt V/2) exp(l dt T)
+  with l = DEFAULT_LAMBDA, two force evaluations per step.
 
 T-stages advance positions by momenta, V-stages kick momenta by the
 (negative) force: ``kick(h, p, s)`` subtracts s dV/dh from p in place.
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-# near-optimal error constant for the 2nd-order minimum-norm scheme
+# the 2nd-order minimum-norm scheme's lambda, which minimises its error norm
 DEFAULT_LAMBDA = 0.193183327
 
 Kick = Callable[[np.ndarray, np.ndarray, float], None]
@@ -41,12 +41,14 @@ class Scheme(enum.Enum):
             raise ValueError(f"unknown integrator scheme {name!r}") from None
 
 
-# One step of each scheme as (drift, kick) stages in units of the step size,
-# given lambda: drift h by drift * dt * p, then kick p by -kick * dt * dV/dh.
+# One step of each scheme as (drift, kick) stages in units of the step size:
+# drift h by drift * dt * p, then kick p by -kick * dt * dV/dh.
 # A zero kick costs no force evaluation.
 SPLITTINGS = {
-    Scheme.LEAPFROG2: lambda lam: ((0.5, 1.0), (0.5, 0.0)),
-    Scheme.MINIMUM_NORM2: lambda lam: ((lam, 0.5), (1.0 - 2.0 * lam, 0.5), (lam, 0.0)),
+    Scheme.LEAPFROG2: ((0.5, 1.0), (0.5, 0.0)),
+    Scheme.MINIMUM_NORM2: (
+        (DEFAULT_LAMBDA, 0.5), (1.0 - 2.0 * DEFAULT_LAMBDA, 0.5), (DEFAULT_LAMBDA, 0.0)
+    ),
 }
 
 
@@ -55,15 +57,12 @@ class TrajectoryConfig:
     scheme: Scheme
     step_size: float
     n_steps: int
-    lam: float = DEFAULT_LAMBDA
 
     def __post_init__(self):
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.scheme is Scheme.MINIMUM_NORM2 and not (0.0 < self.lam < 0.5):
-            raise ValueError(f"lambda must lie in (0, 0.5), got {self.lam}")
 
     @property
     def total_length(self) -> float:
@@ -71,25 +70,19 @@ class TrajectoryConfig:
 
     @property
     def stages(self) -> tuple[tuple[float, float], ...]:
-        return SPLITTINGS[self.scheme](self.lam)
+        return SPLITTINGS[self.scheme]
 
     @property
     def force_evals_per_step(self) -> int:
         return sum(1 for _, kick in self.stages if kick)
 
     @classmethod
-    def from_length(
-        cls,
-        scheme: Scheme,
-        total_length: float,
-        step_size: float,
-        lam: float = DEFAULT_LAMBDA,
-    ) -> "TrajectoryConfig":
+    def from_length(cls, scheme: Scheme, total_length: float, step_size: float) -> "TrajectoryConfig":
         """Fix the total length exactly: n_steps = round(l / dt), dt = l / n_steps."""
         if not all(math.isfinite(v) and v > 0.0 for v in (total_length, step_size)):
             raise ValueError(f"need finite total_length, step_size > 0, got {total_length}, {step_size}")
         n_steps = max(1, round(total_length / step_size))
-        return cls(scheme, total_length / n_steps, n_steps, lam)
+        return cls(scheme, total_length / n_steps, n_steps)
 
 
 def integrate(

@@ -206,7 +206,6 @@ class LatentTarget:
         self.end_correction = self.phi**2 * self.inv_se2
         self._scaled: dict[float, tuple] = {}
         self._ret = np.empty(data.n)
-        self._grad = np.empty(data.n)
 
     def potential_from(self, s: PathSums) -> float:
         """V of the path whose :func:`path_sums` are ``s``."""
@@ -216,10 +215,6 @@ class LatentTarget:
             + 0.5 * self.inv_su2 * s.measurement_ss(self.xi)
             + 0.5 * self.inv_se2 * s.transition_ss(self.phi, self.mu)
         )
-
-    def potential(self, h: np.ndarray) -> float:
-        """V(h), from the sums of h."""
-        return self.potential_from(path_sums(h, self.data))
 
     def kick(self, h: np.ndarray, p: np.ndarray, s: float) -> None:
         """p -= s dV/dh(h), in place, for a step coefficient s > 0.
@@ -247,20 +242,15 @@ class LatentTarget:
         # one update of p: a reversed trajectory subtracts the same f
         p -= f
 
-    def grad(self, h: np.ndarray) -> np.ndarray:
-        """dV/dh, in a buffer that the next call overwrites: the kick of a
-        zero momentum at s = 1, negated."""
-        out = self._grad
-        out.fill(0.0)
-        self.kick(h, out, 1.0)
-        return np.negative(out, out=out)
-
 
 def potential(h, theta: ModelParams, data: ObservedSeries) -> float:
     """V(h) through a fresh :class:`LatentTarget`; only the path's shape is checked."""
-    return LatentTarget(theta, data).potential(as_path(h, data))
+    return LatentTarget(theta, data).potential_from(path_sums(as_path(h, data), data))
 
 
 def grad_potential(h, theta: ModelParams, data: ObservedSeries) -> np.ndarray:
-    """dV/dh through a fresh :class:`LatentTarget`; only the path's shape is checked."""
-    return LatentTarget(theta, data).grad(as_path(h, data))
+    """dV/dh through a fresh :class:`LatentTarget`, as the kick of a zero
+    momentum at s = 1, negated; only the path's shape is checked."""
+    p = np.zeros(data.n)
+    LatentTarget(theta, data).kick(as_path(h, data), p, 1.0)
+    return np.negative(p, out=p)

@@ -57,9 +57,9 @@ class CountingForce:
 
 
 def hamiltonian(h, p, target: model.LatentTarget) -> float:
-    """H(h, p) = (1/2) sum p_i^2 + V(h), with V from ``target.potential``."""
+    """H(h, p) = (1/2) sum p_i^2 + V(h), with V from ``target.potential_from``."""
     kinetic = 0.5 * float(np.sum(np.asarray(p, dtype=np.float64) ** 2))
-    return kinetic + target.potential(h)
+    return kinetic + target.potential_from(model.path_sums(h, target.data))
 
 
 def hmc_update_recomputing(h, theta, data, cfg, rng) -> HmcOutcome:
@@ -155,6 +155,6 @@ def leapfrog_step(h, p, step_size: float, kick: Kick):
     return integrate(h, p, TrajectoryConfig(Scheme.LEAPFROG2, step_size, 1), kick)
 
 
-def minimum_norm_step(h, p, step_size: float, lam: float, kick: Kick):
+def minimum_norm_step(h, p, step_size: float, kick: Kick):
     """One minimum-norm step: the five-stage T-V-T-V-T splitting."""
-    return integrate(h, p, TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 1, lam), kick)
+    return integrate(h, p, TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 1), kick)

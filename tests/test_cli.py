@@ -12,6 +12,7 @@ import pytest
 import rsvhmc.hmc
 from rsvhmc import chainio
 from rsvhmc.cli import main
+from rsvhmc.integrators import DEFAULT_LAMBDA
 
 
 def run(*argv):
@@ -72,7 +73,7 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--step-size", "nan", "--n-steps", "5"),
+            ("--step-size", "nan"),
             ("--step-size", "inf"),
             ("--total-length", "nan"),
             ("--total-length", "inf"),
@@ -326,8 +327,7 @@ class TestScan:
         out = tmp_path / "scan.csv"
         rc = run(
             "scan", "--data", data, "--out", out, "--grid", "0.2,0.4", "--scheme", " 2LFI",
-            "--n-traj", "100", "--n-warm", "20", "--total-length", "1.0", "--lam", "0.2",
-            "--seed", "6",
+            "--n-traj", "100", "--n-warm", "20", "--total-length", "1.0", "--seed", "6",
         )
         assert rc == 0
         cols = chainio.read_columns(out)
@@ -340,7 +340,7 @@ class TestScan:
         assert meta["scheme"] == "2lfi"  # the parsed scheme, not the spelling given
         # every setting of the scan, so it can be rerun from its metadata
         assert meta["total_length"] == "1.0"
-        assert meta["lambda"] == "0.2"
+        assert meta["lambda"] == repr(DEFAULT_LAMBDA)
         assert meta["n_traj"] == "100"
         assert meta["n_warm"] == "20"
         assert meta["seed"] == "6"
@@ -367,6 +367,18 @@ class TestScan:
         out = tmp_path / "s.csv"
         rc = run("scan", "--data", data, "--out", out, "--grid", "0.3", "--n-warm", "-5")
         assert rc == 1
+        assert not out.exists()
+
+    def test_metadata_line_without_separator_refused(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "20")
+        meta = chainio.meta_path(data)
+        lines = meta.read_text().splitlines()
+        assert lines[0].startswith("theta_true.phi = ")
+        meta.write_text("\n".join(["theta_true.phi", *lines[1:]]) + "\n")
+        out = tmp_path / "s.csv"
+        assert run("scan", "--data", data, "--out", out, "--grid", "0.3") == 1
+        assert f"error: {meta}:1: expected 'key = value'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_grid(self, tmp_path):
@@ -583,6 +595,23 @@ class TestConfigFile:
         assert chainio.read_metadata(out)["theta_true.phi"] == repr(0.1 + 0.2)
         assert (tmp_path / "d_h.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key,value,argv",
+        [
+            ("write-h", "false", ("simulate", "--out", "e.csv", "--n", "20")),
+            ("resume", 0, ("estimate", "--data", "d.csv", "--out", "run", "--n-burn", "2", "--n-keep", "5")),
+        ],
+        ids=["write_h", "resume"],
+    )
+    def test_config_switch_takes_only_a_boolean(self, tmp_path, monkeypatch, capsys, key, value, argv):
+        monkeypatch.chdir(tmp_path)
+        run("simulate", "--out", "d.csv", "--n", "20")
+        Path("cfg.json").write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert run("--config", "cfg.json", *argv) == 1
+        assert f"--{key} takes true or false, got {value!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv", "d.csv.meta"]
+
     def test_config_supplies_required_flags(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -641,6 +670,45 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
         assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--data", "afile/d.csv", "--out", "o"),
+            ("diagnose", "--chain", "afile/c.csv", "--out", "s.csv"),
+            ("simulate", "--out", "afile/x.csv"),
+            ("estimate", "--data", "d.csv", "--out", "afile/run", "--n-burn", "2", "--n-keep", "5"),
+        ],
+        ids=["estimate_data", "diagnose_chain", "simulate_out", "estimate_out"],
+    )
+    def test_path_below_a_file_is_validation_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        run("simulate", "--out", "d.csv", "--n", "30")
+        (tmp_path / "afile").write_text("")
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "d.csv", "d.csv.meta"]
+
+    def test_removed_trajectory_settings_refused(self, tmp_path, monkeypatch, capsys):
+        # lambda is a constant of 2MNI, and estimate's trajectory is set by its length
+        monkeypatch.chdir(tmp_path)
+        run("simulate", "--out", "d.csv", "--n", "30")
+        estimate = ("estimate", "--data", "d.csv", "--out", "o", "--n-burn", "2", "--n-keep", "5")
+        scan = ("scan", "--data", "d.csv", "--out", "s.csv", "--grid", "0.3", "--n-traj", "5")
+        for argv in (
+            (*estimate, "--lam", "0.2"),
+            (*estimate, "--n-steps", "5"),
+            (*scan, "--lam", "0.2"),
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+        Path("cfg.json").write_text(json.dumps({"lam": 0.2}))
+        assert run("--config", "cfg.json", *estimate) == 1
+        assert "unknown keys lam" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv", "d.csv.meta"]
 
 
 class TestEntryPoint:

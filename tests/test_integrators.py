@@ -61,8 +61,6 @@ class TestConfig:
             TrajectoryConfig(Scheme.LEAPFROG2, step_size=0.0, n_steps=1)
         with pytest.raises(ValueError):
             TrajectoryConfig(Scheme.LEAPFROG2, step_size=0.1, n_steps=0)
-        with pytest.raises(ValueError):
-            TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size=0.1, n_steps=1, lam=0.6)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 TrajectoryConfig(Scheme.LEAPFROG2, step_size=bad, n_steps=5)
@@ -112,15 +110,14 @@ class TestLeapfrog:
 
 
 class TestMinimumNorm:
-    def test_free_particle_quarter_lambda(self):
-        h, p = minimum_norm_step(np.array([0.0]), np.array([2.0]), 0.5, 0.25, free_kick)
+    def test_free_particle_drifts_one_step(self):
+        # the three drifts sum to the step size whatever lambda is
+        h, p = minimum_norm_step(np.array([0.0]), np.array([2.0]), 0.5, free_kick)
         assert h[0] == pytest.approx(1.0)
         assert p[0] == pytest.approx(2.0)
 
     def test_harmonic_matches_matrix_composition(self):
-        h, p = minimum_norm_step(
-            np.array([1.0]), np.array([0.0]), 0.1, DEFAULT_LAMBDA, harmonic_kick
-        )
+        h, p = minimum_norm_step(np.array([1.0]), np.array([0.0]), 0.1, harmonic_kick)
         expected = minimum_norm_matrix(0.1, DEFAULT_LAMBDA) @ np.array([1.0, 0.0])
         assert h[0] == pytest.approx(expected[0], rel=1e-14)
         assert p[0] == pytest.approx(expected[1], rel=1e-14)
@@ -129,8 +126,8 @@ class TestMinimumNorm:
         theta, h, data = random_instance(rng, 10)
         kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 10)
-        fwd_h, fwd_p = minimum_norm_step(h, p, 0.3, DEFAULT_LAMBDA, kick)
-        back_h, back_p = minimum_norm_step(fwd_h, -fwd_p, 0.3, DEFAULT_LAMBDA, kick)
+        fwd_h, fwd_p = minimum_norm_step(h, p, 0.3, kick)
+        back_h, back_p = minimum_norm_step(fwd_h, -fwd_p, 0.3, kick)
         np.testing.assert_allclose(back_h, h, rtol=1e-12)
         # a reversibility defect is measured against the momentum's scale, so
         # one rounding at |p| ~ 1 passes for a component near 0
@@ -148,7 +145,7 @@ class TestIntegrate:
         if scheme is Scheme.LEAPFROG2:
             direct = leapfrog_step(h, p, 0.2, kick)
         else:
-            direct = minimum_norm_step(h, p, 0.2, cfg.lam, kick)
+            direct = minimum_norm_step(h, p, 0.2, kick)
         np.testing.assert_array_equal(via_integrate[0], direct[0])
         np.testing.assert_array_equal(via_integrate[1], direct[1])
 
@@ -177,7 +174,7 @@ class TestIntegrate:
 
     def test_unequal_adjacent_drifts_form_fresh_products(self, rng, monkeypatch):
         # the last drift (0.7) differs from the next step's first (0.3)
-        monkeypatch.setitem(SPLITTINGS, Scheme.LEAPFROG2, lambda lam: ((0.3, 1.0), (0.7, 0.0)))
+        monkeypatch.setitem(SPLITTINGS, Scheme.LEAPFROG2, ((0.3, 1.0), (0.7, 0.0)))
         theta, h, data = random_instance(rng, 6)
         kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 6)
@@ -233,7 +230,7 @@ class TestStructure:
             if scheme is Scheme.LEAPFROG2:
                 h, p = leapfrog_step(h, p, 0.2, kick)
             else:
-                h, p = minimum_norm_step(h, p, 0.2, DEFAULT_LAMBDA, kick)
+                h, p = minimum_norm_step(h, p, 0.2, kick)
             return np.array([h[0], p[0]])
 
         z0 = np.array([h[0], 0.7])

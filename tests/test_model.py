@@ -166,26 +166,24 @@ class TestLatentTarget:
     def test_matches_public_functions(self, rng, n):
         theta, h, data = random_instance(rng, n)
         target = LatentTarget(theta, data)
-        v_ref = target.potential(h)
+        v_ref = target.potential_from(path_sums(h, data))
         lp_ref = oracle_log_density(h, theta, data)
-        # many calls on one target reuse its scratch buffers; differences from
-        # the value at h cancel the constants V drops from the log density
+        # many paths on one target; differences from the value at h cancel
+        # the constants V drops from the log density
         for _ in range(20):
             x = h + rng.normal(0.0, 0.5, n)
             dlp = oracle_log_density(x, theta, data) - lp_ref
-            assert target.potential(x) - v_ref == pytest.approx(-dlp, rel=1e-10, abs=1e-10)
-        assert target.potential(h) == v_ref
+            v = target.potential_from(path_sums(x, data))
+            assert v - v_ref == pytest.approx(-dlp, rel=1e-10, abs=1e-10)
+        assert potential(h, theta, data) == v_ref
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
     def test_gradient_matches_residual_form(self, rng, n):
         theta, h, data = random_instance(rng, n)
-        target = LatentTarget(theta, data)
-        out = target.grad(h)
         for _ in range(20):
             x = h + rng.normal(0.0, 0.5, n)
-            assert target.grad(x) is out  # one buffer, overwritten by each call
             expected, scale = grad_by_residuals(x, theta, data)
-            np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-13 * scale)
+            np.testing.assert_allclose(grad_potential(x, theta, data), expected, rtol=0.0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("phi", [-0.999, 0.999])
     @pytest.mark.parametrize("sigma_eta2", [1e-3, 2.0])
@@ -194,7 +192,7 @@ class TestLatentTarget:
         theta, h, data = random_instance(rng, n)
         theta = dataclasses.replace(theta, phi=phi, sigma_eta2=sigma_eta2)
         expected, scale = grad_by_residuals(h, theta, data)
-        got = LatentTarget(theta, data).grad(h)
+        got = grad_potential(h, theta, data)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * scale)
 
     def test_gradient_where_exp_h_overflows(self):
@@ -226,7 +224,7 @@ class TestKick:
                 tol = 1e-13 * max(s * scale, float(np.max(np.abs(p))))
                 # every site, both ends included
                 np.testing.assert_allclose(kicked, p - s * expected, rtol=0.0, atol=tol)
-                np.testing.assert_allclose(kicked, p - s * target.grad(h), rtol=0.0, atol=tol)
+                np.testing.assert_allclose(kicked, p - s * grad_potential(h, theta, data), rtol=0.0, atol=tol)
 
     def test_leaves_position_alone(self, rng):
         theta, h, data = random_instance(rng, 20)
@@ -253,7 +251,7 @@ class TestPotentialFromSums:
         want = potential_by_terms(h, theta, data)
         got = target.potential_from(path_sums(h, data))
         assert got == pytest.approx(want, rel=1e-10, abs=0.0), (theta, got, want)
-        assert target.potential(h) == got
+        assert potential(h, theta, data) == got
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 4000])
     def test_random_instances(self, rng, n):
