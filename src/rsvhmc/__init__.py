@@ -9,7 +9,6 @@ from .model import (
 )
 from .integrators import (
     DEFAULT_LAMBDA,
-    Scheme,
     TrajectoryConfig,
     integrate,
 )

@@ -30,7 +30,7 @@ from . import chainio, rv as rvmod
 from .diagnostics import posterior_summary, stepsize_scan
 from .gibbs import PriorConfig
 from .hmc import default_init, run_chain
-from .integrators import DEFAULT_LAMBDA, Scheme, TrajectoryConfig
+from .integrators import DEFAULT_LAMBDA, SPLITTINGS, TrajectoryConfig
 from .model import PARAM_NAMES, ModelParams
 from .synth import STUDY_N, STUDY_PARAMS, simulate
 
@@ -40,6 +40,9 @@ from .synth import STUDY_N, STUDY_PARAMS, simulate
 _RUN_COLUMNS = ("iteration", "delta_h", "accepted")
 # estimate's prior flags, each defaulting to PriorConfig's value
 _PRIOR_NAMES = ("a_eta", "b_eta", "a_u", "b_u")
+# --scheme takes a key of SPLITTINGS in any case and spacing; TrajectoryConfig
+# refuses a name the table lacks
+_SCHEME = dict(type=lambda name: name.strip().lower(), default="2mni", help=" or ".join(SPLITTINGS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="run the sampler on a series file")
     est.add_argument("--data", type=Path, required=True)
     est.add_argument("--out", type=Path, required=True, help="output directory")
-    est.add_argument("--scheme", default="2mni", help="2lfi or 2mni")
+    est.add_argument("--scheme", **_SCHEME)
     est.add_argument("--step-size", type=float, default=0.222)
     est.add_argument("--total-length", type=float, default=2.0)
     est.add_argument("--n-burn", type=int, default=5000)
@@ -117,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="step-size grid scan")
     scan.add_argument("--data", type=Path, required=True)
     scan.add_argument("--out", type=Path, required=True, help="output scan table")
-    scan.add_argument("--scheme", default="2mni")
+    scan.add_argument("--scheme", **_SCHEME)
     scan.add_argument("--grid", required=True, help="comma-separated step sizes")
     scan.add_argument("--total-length", type=float, default=2.0)
     scan.add_argument("--n-traj", type=int, default=2000)
@@ -174,8 +177,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     data = chainio.read_series(args.data)
-    scheme = Scheme.parse(args.scheme)
-    cfg = TrajectoryConfig.from_length(scheme, args.total_length, args.step_size)
+    cfg = TrajectoryConfig.from_length(args.scheme, args.total_length, args.step_size)
     prior = PriorConfig(**{name: getattr(args, name) for name in _PRIOR_NAMES})
     try:
         h_indices = tuple(int(tok) - 1 for tok in str(args.record_h).split(",") if tok.strip())
@@ -214,7 +216,7 @@ def cmd_estimate(args) -> int:
         chain_path,
         {
             "seed": args.seed,
-            "scheme": scheme.value,
+            "scheme": cfg.scheme,
             "step_size": cfg.step_size,
             "n_steps": cfg.n_steps,
             "total_length": cfg.total_length,
@@ -223,11 +225,15 @@ def cmd_estimate(args) -> int:
             "n_burn": args.n_burn,
             "n_keep": args.n_keep,
             "acceptance_rate": result.acceptance_rate,
+            "n_divergent": result.n_divergent,
             "wall_time_seconds": result.wall_time_seconds,
         },
     )
     _write_summary(out_dir / "summary.csv", result.draws)
     ckpt.unlink(missing_ok=True)
+    if result.n_divergent:
+        total = args.n_burn + args.n_keep
+        print(f"warning: {result.n_divergent} of {total} trajectories diverged", file=sys.stderr)
     print(
         f"wrote {chain_path} ({n_rows} kept, acceptance "
         f"{result.acceptance_rate:.3f}, {result.wall_time_seconds:.1f}s)"
@@ -259,11 +265,10 @@ def cmd_scan(args) -> int:
     except OSError:
         pass
     theta = _parse_theta(args, meta)
-    scheme = Scheme.parse(args.scheme)
     result = stepsize_scan(
         data,
         theta,
-        scheme,
+        args.scheme,
         grid,
         total_length=args.total_length,
         n_traj=args.n_traj,
@@ -279,7 +284,7 @@ def cmd_scan(args) -> int:
     chainio.write_metadata(
         args.out,
         {
-            "scheme": scheme.value,
+            "scheme": args.scheme,
             "total_length": args.total_length,
             "lambda": DEFAULT_LAMBDA,
             "n_traj": args.n_traj,

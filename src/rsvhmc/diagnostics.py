@@ -10,7 +10,7 @@ import numpy as np
 
 from . import model
 from .hmc import default_init, hmc_update, start_path
-from .integrators import Scheme, TrajectoryConfig
+from .integrators import TrajectoryConfig
 from .model import ModelParams, ObservedSeries
 
 
@@ -212,7 +212,7 @@ def posterior_summary(columns: dict[str, np.ndarray]) -> list[ParamSummary]:
 def stepsize_scan(
     data: ObservedSeries,
     theta: ModelParams,
-    scheme: Scheme,
+    scheme: str,
     grid,
     total_length: float = 2.0,
     n_traj: int = 2000,

@@ -96,6 +96,7 @@ class ChainResult:
     delta_h: np.ndarray
     accepted: np.ndarray
     acceptance_rate: float
+    n_divergent: int  # trajectories with delta_h = +inf, burn-in included
     final_theta: ModelParams
     final_h: np.ndarray
     wall_time_seconds: float  # summed over every resumed piece of the run
@@ -117,7 +118,8 @@ def run_chain(
     """Run the full sampler: one HMC path update plus one parameter sweep per iteration.
 
     Records theta, delta_h, the accept flag and the selected h components for
-    every kept iteration. With ``checkpoint_path``, the state is saved every
+    every kept iteration, and counts the divergent trajectories of every
+    iteration. With ``checkpoint_path``, the state is saved every
     ``checkpoint_every`` iterations; ``resume`` continues from that file and
     refuses one written for other data, settings or seed.
     """
@@ -148,12 +150,12 @@ def run_chain(
     fingerprint = _fingerprint(
         data, init, cfg, n_burn, n_keep, prior, h_indices, rng.bit_generator.state
     )
-    start, n_accept, elapsed = 0, 0, 0.0
+    start, n_accept, n_divergent, elapsed = 0, 0, 0, 0.0
     if resume:
         if checkpoint_path is None:
             raise ValueError("resume needs a checkpoint_path")
         state, saved = _load_checkpoint(Path(checkpoint_path), fingerprint)
-        start, n_accept = state["iteration"], state["n_accept"]
+        start, n_accept, n_divergent = state["iteration"], state["n_accept"], state["n_divergent"]
         theta, h = ModelParams(**state["theta"]), saved["h"].copy()
         rng.bit_generator.state = state["rng"]
         elapsed = float(saved["elapsed"])
@@ -171,6 +173,7 @@ def run_chain(
         outcome = hmc_update(h, sums, target, cfg, rng)
         h, sums = outcome.h_new, outcome.sums
         n_accept += int(outcome.accepted)
+        n_divergent += outcome.delta_h == math.inf
         theta = gibbs_sweep(sums, theta, prior, rng)
         if it >= n_burn:
             k = it - n_burn
@@ -187,6 +190,7 @@ def run_chain(
                     "fingerprint": fingerprint,
                     "iteration": it + 1,
                     "n_accept": n_accept,
+                    "n_divergent": n_divergent,
                     "theta": theta.as_dict(),
                     "rng": rng.bit_generator.state,
                 },
@@ -200,6 +204,7 @@ def run_chain(
         delta_h=delta_h,
         accepted=accepted,
         acceptance_rate=n_accept / total,
+        n_divergent=n_divergent,
         final_theta=theta,
         final_h=h,
         wall_time_seconds=elapsed + time.perf_counter() - t0,

@@ -10,14 +10,15 @@ Two reversible, volume-preserving schemes:
 
 T-stages advance positions by momenta, V-stages kick momenta by the
 (negative) force: ``kick(h, p, s)`` subtracts s dV/dh from p in place.
-Each scheme is a table of (drift, kick) stages, after Omelyan, Mryglod &
+A scheme is its name, a key of ``SPLITTINGS``: "2lfi" or "2mni". Its value
+is the scheme's table of (drift, kick) stages, after Omelyan, Mryglod &
 Folk, Comput. Phys. Commun. 151 (2003) 272.
 """
 
 from __future__ import annotations
 
-import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,24 +30,12 @@ DEFAULT_LAMBDA = 0.193183327
 Kick = Callable[[np.ndarray, np.ndarray, float], None]
 
 
-class Scheme(enum.Enum):
-    LEAPFROG2 = "2lfi"
-    MINIMUM_NORM2 = "2mni"
-
-    @classmethod
-    def parse(cls, name: str) -> "Scheme":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown integrator scheme {name!r}") from None
-
-
-# One step of each scheme as (drift, kick) stages in units of the step size:
-# drift h by drift * dt * p, then kick p by -kick * dt * dV/dh.
+# One step of each scheme, by name, as (drift, kick) stages in units of the
+# step size: drift h by drift * dt * p, then kick p by -kick * dt * dV/dh.
 # A zero kick costs no force evaluation.
 SPLITTINGS = {
-    Scheme.LEAPFROG2: ((0.5, 1.0), (0.5, 0.0)),
-    Scheme.MINIMUM_NORM2: (
+    "2lfi": ((0.5, 1.0), (0.5, 0.0)),
+    "2mni": (
         (DEFAULT_LAMBDA, 0.5), (1.0 - 2.0 * DEFAULT_LAMBDA, 0.5), (DEFAULT_LAMBDA, 0.0)
     ),
 }
@@ -54,15 +43,18 @@ SPLITTINGS = {
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    scheme: Scheme
+    scheme: str  # a key of SPLITTINGS
     step_size: float
     n_steps: int
 
     def __post_init__(self):
+        if self.scheme not in SPLITTINGS:
+            raise ValueError(f"unknown integrator scheme {self.scheme!r}")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        n = self.n_steps  # numpy integers pass; floats and bools do not
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
 
     @property
     def total_length(self) -> float:
@@ -77,7 +69,7 @@ class TrajectoryConfig:
         return sum(1 for _, kick in self.stages if kick)
 
     @classmethod
-    def from_length(cls, scheme: Scheme, total_length: float, step_size: float) -> "TrajectoryConfig":
+    def from_length(cls, scheme: str, total_length: float, step_size: float) -> "TrajectoryConfig":
         """Fix the total length exactly: n_steps = round(l / dt), dt = l / n_steps."""
         if not all(math.isfinite(v) and v > 0.0 for v in (total_length, step_size)):
             raise ValueError(f"need finite total_length, step_size > 0, got {total_length}, {step_size}")

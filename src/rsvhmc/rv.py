@@ -97,13 +97,6 @@ def daily_rv(day: IntradayDay, grid_seconds: int) -> float:
     return float(np.sum(r**2))
 
 
-def grid_coverage(day: IntradayDay, grid_seconds: int) -> float:
-    """Fraction of grid intervals containing at least one tick."""
-    _, grid = _grid_sample(day, grid_seconds)
-    counts = np.histogram(day.timestamps, bins=grid)[0]
-    return float(np.mean(counts > 0))
-
-
 def daily_return(day: IntradayDay) -> float:
     """Open-to-close log return."""
     return float(day.log_prices[-1] - day.log_prices[0])
@@ -144,16 +137,16 @@ def build_series(days, grid_seconds: int) -> BuildReport:
     dates, rvs, ys, rejected = [], [], [], []
     for day in ordered:
         try:
-            cov = grid_coverage(day, grid_seconds)
-            if cov < COVERAGE_THRESHOLD:
-                rejected.append(
-                    RejectedDay(day.date, f"grid coverage {cov:.2f} below threshold")
-                )
-                continue
-            rv = daily_rv(day, grid_seconds)
+            prices, grid = _grid_sample(day, grid_seconds)
         except RvError as exc:
             rejected.append(RejectedDay(day.date, str(exc)))
             continue
+        # the fraction of grid intervals holding at least one tick
+        cov = float(np.mean(np.histogram(day.timestamps, bins=grid)[0] > 0))
+        if cov < COVERAGE_THRESHOLD:
+            rejected.append(RejectedDay(day.date, f"grid coverage {cov:.2f} below threshold"))
+            continue
+        rv = float(np.sum(np.diff(prices) ** 2))
         if rv <= 0.0:
             rejected.append(RejectedDay(day.date, "zero realized variance"))
             continue

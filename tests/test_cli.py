@@ -87,6 +87,27 @@ class TestEstimate:
         assert rc == 1
         assert not (out / "chain.csv").exists()
 
+    # criterion 9's settings: under 2lfi the trajectories diverge and h never moves
+    @pytest.mark.parametrize("scheme,diverged", [("2lfi", True), ("2mni", False)])
+    def test_divergences_counted_and_warned(self, tmp_path, capsys, scheme, diverged):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "300", "--seed", "91")
+        out = tmp_path / "run"
+        rc = run(
+            "estimate", "--data", data, "--out", out, "--scheme", scheme,
+            "--step-size", "0.25", "--total-length", "2.0",
+            "--n-burn", "200", "--n-keep", "2000", "--seed", "92",
+        )
+        assert rc == 0
+        n_divergent = int(chainio.read_metadata(out / "chain.csv")["n_divergent"])
+        err = capsys.readouterr().err
+        if diverged:
+            assert n_divergent >= 2000
+            assert f"warning: {n_divergent} of 2200 trajectories diverged" in err
+        else:
+            assert n_divergent == 0
+            assert "warning" not in err
+
     def test_determinism_byte_identical_chains(self, tmp_path):
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "60", "--seed", "2")
@@ -690,6 +711,16 @@ class TestUsageErrors:
         assert run(*argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "d.csv", "d.csv.meta"]
+
+    @pytest.mark.parametrize("command", ["estimate", "scan"])
+    def test_unknown_scheme_refused(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        run("simulate", "--out", "d.csv", "--n", "30")
+        capsys.readouterr()
+        rest = ("--grid", "0.3", "--n-traj", "5") if command == "scan" else ("--n-keep", "5")
+        assert run(command, "--data", "d.csv", "--out", "o", "--scheme", "RK4", *rest) == 1
+        assert "error: unknown integrator scheme 'rk4'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.meta"]
 
     def test_removed_trajectory_settings_refused(self, tmp_path, monkeypatch, capsys):
         # lambda is a constant of 2MNI, and estimate's trajectory is set by its length

@@ -15,7 +15,6 @@ from rsvhmc.diagnostics import (
     rms_dh,
     stepsize_scan,
 )
-from rsvhmc.integrators import Scheme
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
 
@@ -180,7 +179,7 @@ class TestStepsizeScan:
         result = stepsize_scan(
             ds.data,
             ds.theta_true,
-            Scheme.MINIMUM_NORM2,
+            "2mni",
             [0.25],
             total_length=1.0,
             n_traj=200,
@@ -199,7 +198,7 @@ class TestStepsizeScan:
         result = stepsize_scan(
             ds.data,
             ds.theta_true,
-            Scheme.LEAPFROG2,
+            "2lfi",
             [0.1, 0.3, 0.6],
             total_length=1.0,
             n_traj=150,
@@ -213,12 +212,12 @@ class TestStepsizeScan:
     def test_empty_grid_rejected(self):
         ds = simulate(STUDY_PARAMS, 50, seed=14)
         with pytest.raises(ValueError):
-            stepsize_scan(ds.data, ds.theta_true, Scheme.LEAPFROG2, [])
+            stepsize_scan(ds.data, ds.theta_true, "2lfi", [])
 
     def test_negative_n_warm_rejected(self):
         ds = simulate(STUDY_PARAMS, 50, seed=14)
         with pytest.raises(ValueError, match="n_warm"):
-            stepsize_scan(ds.data, ds.theta_true, Scheme.LEAPFROG2, [0.2], n_warm=-5)
+            stepsize_scan(ds.data, ds.theta_true, "2lfi", [0.2], n_warm=-5)
 
 
 class TestPosteriorSummary:
@@ -277,7 +276,7 @@ class TestPosteriorSummary:
         from rsvhmc.integrators import TrajectoryConfig
         from rsvhmc.model import PARAM_NAMES
 
-        cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 2.0, 0.25)
+        cfg = TrajectoryConfig.from_length("2mni", 2.0, 0.25)
         summaries = []
         for seed in (21, 22):
             res = run_chain(

@@ -15,7 +15,7 @@ from rsvhmc.gibbs import (
     sample_xi,
 )
 from rsvhmc.hmc import default_init, run_chain
-from rsvhmc.integrators import Scheme, TrajectoryConfig
+from rsvhmc.integrators import TrajectoryConfig
 from rsvhmc.model import PARAM_NAMES, ModelParams, ObservedSeries, path_sums
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
@@ -254,7 +254,7 @@ class TestSweep:
         h = data.ln_rv
         with pytest.raises(ValueError, match="n >= 2"):
             gibbs_sweep(path_sums(h, data), STUDY_PARAMS, PriorConfig(), np.random.default_rng(0))
-        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
         with pytest.raises(ValueError, match="n >= 2"):
             run_chain(data, default_init(data), cfg, 0, 1, np.random.default_rng(0), h_indices=(0,))
 

@@ -11,11 +11,11 @@ import rsvhmc.model
 from rsvhmc.diagnostics import stepsize_scan
 from rsvhmc.gibbs import PriorConfig, gibbs_sweep
 from rsvhmc.hmc import default_init, hmc_update, run_chain
-from rsvhmc.integrators import Scheme, TrajectoryConfig
+from rsvhmc.integrators import SPLITTINGS, TrajectoryConfig
 from rsvhmc.model import PARAM_NAMES, LatentTarget, path_sums
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
-from conftest import hmc_update_recomputing
+from conftest import hmc_update_recomputing, scheme_id
 
 
 def small_dataset(n=200, seed=17):
@@ -31,7 +31,7 @@ class TestHmcUpdate:
     def test_tiny_step_is_accepted(self):
         ds = small_dataset()
         target = LatentTarget(ds.theta_true, ds.data)
-        cfg = TrajectoryConfig(Scheme.LEAPFROG2, 1e-6, 1)
+        cfg = TrajectoryConfig("2lfi", 1e-6, 1)
         rng = np.random.default_rng(0)
         for _ in range(20):
             out = update(ds.h_true, target, cfg, rng)
@@ -42,7 +42,7 @@ class TestHmcUpdate:
         ds = small_dataset()
         target = LatentTarget(ds.theta_true, ds.data)
         # an absurd step size guarantees rejection
-        cfg = TrajectoryConfig(Scheme.LEAPFROG2, 50.0, 3)
+        cfg = TrajectoryConfig("2lfi", 50.0, 3)
         rng = np.random.default_rng(1)
         rejected = 0
         for _ in range(20):
@@ -53,7 +53,7 @@ class TestHmcUpdate:
                 np.testing.assert_array_equal(out.h_new, ds.h_true)
         assert rejected > 0
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
     def test_domain_failure_counts_as_rejection(self, scheme):
         ds = small_dataset()
         cfg = TrajectoryConfig(scheme, 1e6, 2)
@@ -63,7 +63,7 @@ class TestHmcUpdate:
         assert out.delta_h == math.inf
         np.testing.assert_array_equal(out.h_new, ds.h_true)
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
     def test_divergence_emits_no_warning(self, scheme):
         ds = small_dataset()
         target = LatentTarget(ds.theta_true, ds.data)
@@ -79,7 +79,7 @@ class TestHmcUpdate:
         target = LatentTarget(ds.theta_true, ds.data)
         h = ds.h_true - 690.0
         sums = path_sums(h, ds.data)
-        cfg = TrajectoryConfig(Scheme.MINIMUM_NORM2, 0.2, 3)
+        cfg = TrajectoryConfig("2mni", 0.2, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = hmc_update(h, sums, target, cfg, np.random.default_rng(9))
@@ -90,7 +90,7 @@ class TestHmcUpdate:
     @pytest.mark.parametrize("step_size,accepted", [(1e-6, True), (50.0, False)])
     def test_input_path_is_not_modified(self, step_size, accepted):
         ds = small_dataset()
-        cfg = TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 3)
+        cfg = TrajectoryConfig("2mni", step_size, 3)
         h = ds.h_true.copy()
         out = update(h, LatentTarget(ds.theta_true, ds.data), cfg, np.random.default_rng(5))
         assert out.accepted is accepted
@@ -99,7 +99,7 @@ class TestHmcUpdate:
     def test_accepted_path_survives_next_update(self):
         ds = small_dataset()
         target = LatentTarget(ds.theta_true, ds.data)
-        cfg = TrajectoryConfig(Scheme.LEAPFROG2, 1e-3, 4)
+        cfg = TrajectoryConfig("2lfi", 1e-3, 4)
         rng = np.random.default_rng(6)
         first = update(ds.h_true, target, cfg, rng)
         assert first.accepted
@@ -113,7 +113,7 @@ class TestHmcUpdate:
     def test_outcome_carries_potential_of_returned_path(self, step_size, kind):
         ds = small_dataset()
         target = LatentTarget(ds.theta_true, ds.data)
-        cfg = TrajectoryConfig(Scheme.MINIMUM_NORM2, step_size, 3)
+        cfg = TrajectoryConfig("2mni", step_size, 3)
         out = update(ds.h_true, target, cfg, np.random.default_rng(8))
         if kind == "divergent":
             assert out.delta_h == math.inf
@@ -126,7 +126,7 @@ class TestHmcUpdate:
         # <exp(-delta H)> = 1 for a reversible volume-preserving proposal
         ds = small_dataset()
         target = LatentTarget(ds.theta_true, ds.data)
-        cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 2.0, 0.25)
+        cfg = TrajectoryConfig.from_length("2mni", 2.0, 0.25)
         rng = np.random.default_rng(3)
         h = ds.h_true.copy()
         sums = path_sums(h, ds.data)
@@ -153,7 +153,7 @@ class TestHmcUpdate:
         sums = path_sums(h, ds.data)
         rates = []
         for dt in (0.1, 0.3, 0.6, 1.0):
-            cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 2.0, dt)
+            cfg = TrajectoryConfig.from_length("2lfi", 2.0, dt)
             acc = []
             for _ in range(400):
                 out = hmc_update(h, sums, target, cfg, rng)
@@ -168,7 +168,7 @@ class TestHmcUpdate:
 class TestRunChain:
     def test_single_keep_is_reproducible(self):
         ds = small_dataset(n=60)
-        cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2mni", 1.0, 0.2)
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(99)
@@ -180,7 +180,7 @@ class TestRunChain:
 
     def test_chains_bit_identical_for_same_seed(self):
         ds = small_dataset(n=120)
-        cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2mni", 1.0, 0.2)
         a = run_chain(ds.data, default_init(ds.data), cfg, 10, 50, np.random.default_rng(7))
         b = run_chain(ds.data, default_init(ds.data), cfg, 10, 50, np.random.default_rng(7))
         for name in a.draws:
@@ -192,7 +192,7 @@ class TestRunChain:
         # latent-only sampling at the true parameters: a medium run must agree
         # with a longer independent reference run on the h_10 posterior mean
         ds = small_dataset(n=150, seed=23)
-        cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 2.0, 0.25)
+        cfg = TrajectoryConfig.from_length("2mni", 2.0, 0.25)
         target = LatentTarget(ds.theta_true, ds.data)
 
         def h10_draws(n_burn, n_keep, rng):
@@ -223,7 +223,7 @@ class TestRunChain:
 
     def test_recorded_h_indices(self):
         ds = small_dataset(n=40)
-        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
         res = run_chain(
             ds.data,
             default_init(ds.data),
@@ -238,7 +238,7 @@ class TestRunChain:
 
     def test_bad_h_index_rejected(self):
         ds = small_dataset(n=40)
-        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
         with pytest.raises(ValueError, match=r"h index 40 \(column h_41\) out of range"):
             run_chain(
                 ds.data,
@@ -252,7 +252,7 @@ class TestRunChain:
 
     def test_duplicate_h_index_rejected(self):
         ds = small_dataset(n=40)
-        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
         with pytest.raises(ValueError, match=r"h index 9 \(column h_10\) given twice"):
             run_chain(
                 ds.data, default_init(ds.data), cfg, 0, 1, np.random.default_rng(0),
@@ -261,7 +261,7 @@ class TestRunChain:
 
     def test_checkpoint_every_below_one_rejected(self, tmp_path):
         ds = small_dataset(n=40)
-        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
         with pytest.raises(ValueError, match="checkpoint_every"):
             run_chain(
                 ds.data, default_init(ds.data), cfg, 0, 5, np.random.default_rng(0),
@@ -274,8 +274,8 @@ class TestResume:
 
     N_BURN, N_KEEP, EVERY = 30, 100, 20  # checkpoints after 20, 40, ..., 120 of 130
 
-    def run(self, ds, ckpt, resume=False, rng_seed=5):
-        cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 1.0, 0.2)
+    def run(self, ds, ckpt, resume=False, rng_seed=5, step_size=0.2):
+        cfg = TrajectoryConfig.from_length("2mni", 1.0, step_size)
         return run_chain(
             ds.data, default_init(ds.data), cfg, self.N_BURN, self.N_KEEP,
             np.random.default_rng(rng_seed), h_indices=(0, 9),
@@ -319,8 +319,23 @@ class TestResume:
         np.testing.assert_array_equal(resumed.accepted, unbroken.accepted)
         np.testing.assert_array_equal(resumed.final_h, unbroken.final_h)
         assert resumed.acceptance_rate == unbroken.acceptance_rate
+        assert resumed.n_divergent == unbroken.n_divergent
         assert resumed.final_theta == unbroken.final_theta
         assert stored <= resumed.wall_time_seconds <= stored + piece
+
+    def test_resumed_run_counts_earlier_divergences(self, tmp_path, monkeypatch):
+        # at this step size all but the first trajectory diverge
+        ds = small_dataset(n=60)
+        unbroken = self.run(ds, None, step_size=0.5)
+        assert unbroken.n_divergent == self.N_BURN + self.N_KEEP - 1
+        ckpt = tmp_path / "chain.npz"
+        with monkeypatch.context() as m:
+            self.abort_at(m, 70)
+            with pytest.raises(KeyboardInterrupt):
+                self.run(ds, ckpt, step_size=0.5)
+        resumed = self.run(ds, ckpt, resume=True, step_size=0.5)
+        assert resumed.n_divergent == unbroken.n_divergent
+        np.testing.assert_array_equal(resumed.delta_h, unbroken.delta_h)
 
     def test_checkpoint_of_other_seed_refused(self, tmp_path, monkeypatch):
         ds = small_dataset(n=60)
@@ -384,7 +399,7 @@ class TestStartingPath:
     def test_run_chain_refuses(self, spoil, message):
         ds = small_dataset(n=40)
         theta, h = default_init(ds.data)
-        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
         with pytest.raises(ValueError, match=message):
             run_chain(ds.data, (theta, spoil(h)), cfg, 0, 5, np.random.default_rng(0))
 
@@ -393,7 +408,7 @@ class TestStartingPath:
         ds = small_dataset(n=40)
         with pytest.raises(ValueError, match=message):
             stepsize_scan(
-                ds.data, ds.theta_true, Scheme.LEAPFROG2, [0.2],
+                ds.data, ds.theta_true, "2lfi", [0.2],
                 n_traj=10, n_warm=5, h0=spoil(ds.h_true),
             )
 
@@ -404,7 +419,7 @@ class TestCarriedPotential:
 
     def test_run_chain_matches_recomputing_loop(self):
         ds = small_dataset(n=80)
-        cfg = TrajectoryConfig.from_length(Scheme.MINIMUM_NORM2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2mni", 1.0, 0.2)
         n_iter, h_indices = 60, (0, 9, 79)
         res = run_chain(
             ds.data, default_init(ds.data), cfg, 0, n_iter,
@@ -428,7 +443,7 @@ class TestCarriedPotential:
 
     @pytest.mark.parametrize(
         "scheme,grid",
-        [(Scheme.LEAPFROG2, [0.05, 0.3]), (Scheme.MINIMUM_NORM2, [0.2, 0.6])],
+        [("2lfi", [0.05, 0.3]), ("2mni", [0.2, 0.6])],
         ids=["2lfi", "2mni"],
     )
     def test_stepsize_scan_matches_recomputing_loop(self, monkeypatch, scheme, grid):
@@ -470,7 +485,7 @@ class TestOperationCount:
         builds = self.count(monkeypatch, rsvhmc.model, "LatentTarget")
         grid, n_traj = [0.1, 0.2, 0.4], 20
         stepsize_scan(
-            ds.data, ds.theta_true, Scheme.LEAPFROG2, grid,
+            ds.data, ds.theta_true, "2lfi", grid,
             total_length=1.0, n_traj=n_traj, n_warm=n_warm, seed=4,
         )
         assert len(updates) == min(100, n_warm) + n_warm + len(grid) * n_traj
@@ -489,7 +504,7 @@ class TestOperationCount:
         grid, n_traj, n_warm = [0.4, 0.2, 0.1], 20, 30
         # a length of 2 makes every grid step exact (5, 10 and 20 steps)
         stepsize_scan(
-            ds.data, ds.theta_true, Scheme.LEAPFROG2, grid,
+            ds.data, ds.theta_true, "2lfi", grid,
             total_length=2.0, n_traj=n_traj, n_warm=n_warm, seed=4,
         )
         expected = [0.02] * min(100, n_warm) + [0.1] * n_warm
@@ -501,7 +516,7 @@ class TestOperationCount:
         ds = small_dataset(n=40)
         updates = self.count(monkeypatch, rsvhmc.hmc, "hmc_update")
         builds = self.count(monkeypatch, rsvhmc.model, "LatentTarget")
-        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.2)
+        cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
         run_chain(ds.data, default_init(ds.data), cfg, 7, 11, np.random.default_rng(4))
         assert len(updates) == 7 + 11
         assert len(builds) == 7 + 11
@@ -510,7 +525,7 @@ class TestOperationCount:
         # the starting path, then each trajectory's end; V comes from those sums
         ds = small_dataset(n=40)
         sums = self.count(monkeypatch, rsvhmc.model, "path_sums")
-        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 1.0, 0.1)
+        cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.1)
         res = run_chain(ds.data, default_init(ds.data), cfg, 7, 30, np.random.default_rng(4))
         assert len(sums) == 1 + 7 + 30
         assert 0 < res.accepted.sum() < 30  # both outcomes carry sums

@@ -6,11 +6,12 @@ import pytest
 from rsvhmc.integrators import (
     DEFAULT_LAMBDA,
     SPLITTINGS,
-    Scheme,
     TrajectoryConfig,
     integrate,
 )
-from rsvhmc.model import LatentTarget
+from rsvhmc.hmc import hmc_update
+from rsvhmc.model import LatentTarget, path_sums
+from rsvhmc.synth import STUDY_PARAMS, simulate
 
 from conftest import (
     CountingForce,
@@ -19,6 +20,7 @@ from conftest import (
     leapfrog_step,
     minimum_norm_step,
     random_instance,
+    scheme_id,
 )
 
 
@@ -58,28 +60,41 @@ def minimum_norm_matrix(dt, lam):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrajectoryConfig(Scheme.LEAPFROG2, step_size=0.0, n_steps=1)
+            TrajectoryConfig("2lfi", step_size=0.0, n_steps=1)
         with pytest.raises(ValueError):
-            TrajectoryConfig(Scheme.LEAPFROG2, step_size=0.1, n_steps=0)
+            TrajectoryConfig("2lfi", step_size=0.1, n_steps=0)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
-                TrajectoryConfig(Scheme.LEAPFROG2, step_size=bad, n_steps=5)
+                TrajectoryConfig("2lfi", step_size=bad, n_steps=5)
             with pytest.raises(ValueError):
-                TrajectoryConfig.from_length(Scheme.LEAPFROG2, 2.0, bad)
+                TrajectoryConfig.from_length("2lfi", 2.0, bad)
             with pytest.raises(ValueError):
-                TrajectoryConfig.from_length(Scheme.LEAPFROG2, bad, 0.1)
+                TrajectoryConfig.from_length("2lfi", bad, 0.1)
+        # a step count is an integer, and a bool is not one
+        for bad in (2.5, 2.0, True, False, "3", None):
+            with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
+                TrajectoryConfig("2lfi", step_size=0.1, n_steps=bad)
+        assert TrajectoryConfig("2lfi", step_size=0.1, n_steps=np.int64(3)).n_steps == 3
 
     def test_from_length_hits_exact_length(self):
-        cfg = TrajectoryConfig.from_length(Scheme.LEAPFROG2, 2.0, 0.222)
+        cfg = TrajectoryConfig.from_length("2lfi", 2.0, 0.222)
         assert cfg.n_steps == 9
         assert cfg.total_length == pytest.approx(2.0, abs=1e-15)
 
     def test_scheme_parse(self):
-        assert Scheme.parse("2mni") is Scheme.MINIMUM_NORM2
-        assert Scheme.parse(" 2LFI ") is Scheme.LEAPFROG2
+        # a scheme is a key of SPLITTINGS, checked when the config is built
+        assert list(SPLITTINGS) == ["2lfi", "2mni"]
         for name in ("rk4", "leapfrog"):
-            with pytest.raises(ValueError, match="unknown integrator scheme"):
-                Scheme.parse(name)
+            with pytest.raises(ValueError, match=f"unknown integrator scheme '{name}'"):
+                TrajectoryConfig(name, 0.1, 5)
+            with pytest.raises(ValueError, match=f"unknown integrator scheme '{name}'"):
+                TrajectoryConfig.from_length(name, 2.0, 0.222)
+        # the spelling of the CLI and the metadata files builds a config that runs
+        ds = simulate(STUDY_PARAMS, 50, seed=3)
+        cfg = TrajectoryConfig.from_length("2mni", 2.0, 0.222)
+        target = LatentTarget(ds.theta_true, ds.data)
+        out = hmc_update(ds.h_true, path_sums(ds.h_true, ds.data), target, cfg, np.random.default_rng(0))
+        assert math.isfinite(out.delta_h)
 
 
 class TestLeapfrog:
@@ -135,21 +150,21 @@ class TestMinimumNorm:
 
 
 class TestIntegrate:
-    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
     def test_single_step_equivalence(self, rng, scheme):
         theta, h, data = random_instance(rng, 6)
         kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 6)
         cfg = TrajectoryConfig(scheme, 0.2, 1)
         via_integrate = integrate(h, p, cfg, kick)
-        if scheme is Scheme.LEAPFROG2:
+        if scheme == "2lfi":
             direct = leapfrog_step(h, p, 0.2, kick)
         else:
             direct = minimum_norm_step(h, p, 0.2, kick)
         np.testing.assert_array_equal(via_integrate[0], direct[0])
         np.testing.assert_array_equal(via_integrate[1], direct[1])
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
     def test_half_trajectories_compose(self, rng, scheme):
         theta, h, data = random_instance(rng, 6)
         kick = LatentTarget(theta, data).kick
@@ -161,7 +176,7 @@ class TestIntegrate:
         np.testing.assert_array_equal(full[1], two_halves[1])
 
     @pytest.mark.parametrize("n_steps", [1, 2, 7])
-    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
     def test_shared_drift_products_match_stagewise_loop(self, rng, scheme, n_steps):
         theta, h, data = random_instance(rng, 6)
         kick = LatentTarget(theta, data).kick
@@ -174,17 +189,17 @@ class TestIntegrate:
 
     def test_unequal_adjacent_drifts_form_fresh_products(self, rng, monkeypatch):
         # the last drift (0.7) differs from the next step's first (0.3)
-        monkeypatch.setitem(SPLITTINGS, Scheme.LEAPFROG2, ((0.3, 1.0), (0.7, 0.0)))
+        monkeypatch.setitem(SPLITTINGS, "2lfi", ((0.3, 1.0), (0.7, 0.0)))
         theta, h, data = random_instance(rng, 6)
         kick = LatentTarget(theta, data).kick
         p = rng.normal(0.0, 1.0, 6)
-        cfg = TrajectoryConfig(Scheme.LEAPFROG2, 0.1, 7)
+        cfg = TrajectoryConfig("2lfi", 0.1, 7)
         shared = integrate(h, p, cfg, kick)
         reference = integrate_by_stages(h, p, cfg, kick)
         np.testing.assert_array_equal(shared[0], reference[0])
         np.testing.assert_array_equal(shared[1], reference[1])
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
     def test_full_period_harmonic_return(self, scheme):
         errors = []
         for dt in (0.02, 0.01):
@@ -195,7 +210,7 @@ class TestIntegrate:
         # second-order scheme: halving dt shrinks the error ~4x
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.3)
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
     def test_trajectory_reversibility(self, rng, scheme):
         theta, h, data = random_instance(rng, 20)
         kick = LatentTarget(theta, data).kick
@@ -208,9 +223,7 @@ class TestIntegrate:
 
 
 class TestStructure:
-    @pytest.mark.parametrize(
-        "scheme,evals", [(Scheme.LEAPFROG2, 1), (Scheme.MINIMUM_NORM2, 2)]
-    )
+    @pytest.mark.parametrize("scheme,evals", [("2lfi", 1), ("2mni", 2)], ids=scheme_id)
     def test_force_evaluations_per_step(self, rng, scheme, evals):
         theta, h, data = random_instance(rng, 6)
         counter = CountingForce(LatentTarget(theta, data).kick)
@@ -219,7 +232,7 @@ class TestStructure:
         integrate(h, p, TrajectoryConfig(scheme, 0.1, n_steps), counter)
         assert counter.calls == evals * n_steps
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
     def test_volume_preservation(self, rng, scheme):
         # single-site instance: 2-dimensional phase space, numeric Jacobian
         theta, h, data = random_instance(rng, 1)
@@ -227,7 +240,7 @@ class TestStructure:
 
         def step(z):
             h, p = np.array([z[0]]), np.array([z[1]])
-            if scheme is Scheme.LEAPFROG2:
+            if scheme == "2lfi":
                 h, p = leapfrog_step(h, p, 0.2, kick)
             else:
                 h, p = minimum_norm_step(h, p, 0.2, kick)
@@ -243,7 +256,7 @@ class TestStructure:
             jac[:, j] = (step(zp) - step(zm)) / (2.0 * eps)
         assert abs(np.linalg.det(jac) - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
     def test_delta_h_scales_quadratically(self, scheme, rng):
         # RMS of delta-H over random momenta should scale as dt^2
         theta, h, data = random_instance(rng, 100)

@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+import rsvhmc.rv
 from rsvhmc.rv import (
     IntradayDay,
     RvError,
@@ -192,6 +193,24 @@ class TestBuildSeries:
         with pytest.raises(RvError, match=r"^grid_seconds must be >= 1$"):
             build_series(days(), grid_seconds)
         assert read == []
+
+    def test_each_day_resampled_once(self, monkeypatch):
+        # one grid sample gives both a day's coverage and its RV
+        grid_sample, sampled = rsvhmc.rv._grid_sample, []
+
+        def counting(day, grid_seconds):
+            sampled.append(day.date)
+            return grid_sample(day, grid_seconds)
+
+        monkeypatch.setattr(rsvhmc.rv, "_grid_sample", counting)
+        days = [
+            make_day(D1, [0, 60, 120], [0.0, 0.01, 0.03]),  # kept
+            make_day(D2, [0, 600], [0.0, 0.05]),  # sparse
+            make_day(D3, [0, 60, 120], [1.0, 1.0, 1.0]),  # flat
+        ]
+        report = build_series(days, 60)
+        assert report.series.dates == (D1,)
+        assert sampled == [D1, D2, D3]
 
     def test_open_to_close_return(self):
         day = make_day(D1, [0, 30, 60], [0.5, 0.9, 0.2])
