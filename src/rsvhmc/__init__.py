@@ -1,12 +1,6 @@
 """Bayesian estimation of the realized stochastic volatility model by HMC."""
 
-from .model import (
-    LatentTarget,
-    ModelParams,
-    ObservedSeries,
-    grad_potential,
-    potential,
-)
+from .model import LatentTarget, ModelParams, ObservedSeries
 from .integrators import (
     DEFAULT_LAMBDA,
     TrajectoryConfig,
@@ -24,6 +18,6 @@ from .diagnostics import (
     rms_dh,
     stepsize_scan,
 )
-from .rv import IntradayDay, RvSeries, build_series, daily_rv, hansen_lunde_c
+from .rv import IntradayDay, RvSeries, build_series, hansen_lunde_c
 
 __version__ = "0.1.0"

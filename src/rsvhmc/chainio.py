@@ -85,10 +85,14 @@ def read_columns(path: Path) -> dict[str, np.ndarray]:
 
     A numeric table is parsed in one pass by ``np.loadtxt``, whose floats are
     bit-identical to ``float()``'s. A table it refuses (quotes, dates, empty
-    cells, ragged rows) or that has no rows is read cell by cell instead.
+    cells, ragged rows) or that has no rows is read cell by cell instead. A
+    header that names a column twice is refused.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]))
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValueError(f"{path}: column {name!r} appears twice in the header")
         try:
             with warnings.catch_warnings():
                 # a table without rows goes to the cell-by-cell reader below

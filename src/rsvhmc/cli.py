@@ -150,11 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_theta(args, meta: dict[str, str] | None) -> ModelParams:
     vals = {}
     for name in PARAM_NAMES:
-        flag = getattr(args, name, None)
+        flag, key = getattr(args, name, None), f"theta_true.{name}"
         if flag is not None:
             vals[name] = flag
-        elif meta is not None and f"theta_true.{name}" in meta:
-            vals[name] = float(meta[f"theta_true.{name}"])
+        elif meta is not None and key in meta:
+            try:
+                vals[name] = float(meta[key])
+            except ValueError:
+                raise ValueError(
+                    f"{chainio.meta_path(args.data)}: {key} is not a number: {meta[key]!r}"
+                ) from None
         else:
             raise ValueError(
                 f"parameter {name} not given and not present in dataset metadata"
@@ -318,8 +323,8 @@ def _read_ticks(path: Path) -> list[rvmod.IntradayDay]:
                 price = float(row[1])
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad tick row {row!r}") from exc
-            if price <= 0.0:
-                raise ValueError(f"{path}:{lineno}: price must be > 0")
+            if not 0.0 < price < math.inf:
+                raise ValueError(f"{path}:{lineno}: price must be finite and > 0")
             seconds = (
                 stamp - dt.datetime.combine(stamp.date(), dt.time.min, stamp.tzinfo)
             ).total_seconds()

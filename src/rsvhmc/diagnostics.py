@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .hmc import default_init, hmc_update, start_path
+from .hmc import default_init, hmc_update
 from .integrators import TrajectoryConfig
 from .model import ModelParams, ObservedSeries
 
@@ -237,7 +237,7 @@ def stepsize_scan(
         raise ValueError("n_traj must be >= 1")
     if n_warm < 0:
         raise ValueError(f"n_warm must be >= 0, got {n_warm}")
-    h = start_path(default_init(data)[1] if h0 is None else h0, data)
+    h = model.as_path(default_init(data)[1] if h0 is None else h0, data)
     rng = np.random.default_rng(seed)
     cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt) for dt in grid]
     target = model.LatentTarget(theta, data)

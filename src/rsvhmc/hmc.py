@@ -73,16 +73,6 @@ def default_init(data: ObservedSeries) -> tuple[ModelParams, np.ndarray]:
     return theta, data.ln_rv.copy()
 
 
-def start_path(h, data: ObservedSeries) -> np.ndarray:
-    """A float64 copy of a starting path, refused unless it is 1-d, of the
-    series length and finite: the updates themselves validate nothing."""
-    h = model.as_path(h, data)
-    bad = np.flatnonzero(~np.isfinite(h))
-    if len(bad):
-        raise ValueError(f"starting path has a non-finite value at index {bad[0]}: {h[bad[0]]}")
-    return h.copy()
-
-
 @dataclass
 class ChainResult:
     """Kept draws plus run-level statistics.
@@ -132,7 +122,7 @@ def run_chain(
     if prior is None:
         prior = PriorConfig()
     theta, h = init
-    h = start_path(h, data)
+    h = model.as_path(h, data)
     h_indices = tuple(int(i) for i in h_indices)
     # the one place the draw columns are named
     names = (*PARAM_NAMES, *(f"h_{i + 1}" for i in h_indices))

@@ -82,12 +82,16 @@ class ObservedSeries:
 
 
 def as_path(h, data: ObservedSeries) -> np.ndarray:
-    """``h`` as float64, refused unless it is 1-d with one entry per observation."""
-    h = np.asarray(h, dtype=np.float64)
+    """A float64 copy of ``h``, refused unless it is 1-d, of the series length
+    and finite: the sampler's updates themselves validate nothing."""
+    h = np.array(h, dtype=np.float64)
     if h.ndim != 1:
         raise ValueError(f"latent path must be a 1-d array, got shape {h.shape}")
     if len(h) != data.n:
         raise ValueError(f"path length {len(h)} != series length {data.n}")
+    bad = np.flatnonzero(~np.isfinite(h))
+    if len(bad):
+        raise ValueError(f"latent path has a non-finite value at index {bad[0]}: {h[bad[0]]}")
     return h
 
 
@@ -244,13 +248,13 @@ class LatentTarget:
 
 
 def potential(h, theta: ModelParams, data: ObservedSeries) -> float:
-    """V(h) through a fresh :class:`LatentTarget`; only the path's shape is checked."""
+    """V(h) through a fresh :class:`LatentTarget`, for a path ``as_path`` accepts."""
     return LatentTarget(theta, data).potential_from(path_sums(as_path(h, data), data))
 
 
 def grad_potential(h, theta: ModelParams, data: ObservedSeries) -> np.ndarray:
     """dV/dh through a fresh :class:`LatentTarget`, as the kick of a zero
-    momentum at s = 1, negated; only the path's shape is checked."""
+    momentum at s = 1, negated, for a path ``as_path`` accepts."""
     p = np.zeros(data.n)
     LatentTarget(theta, data).kick(as_path(h, data), p, 1.0)
     return np.negative(p, out=p)

@@ -88,20 +88,6 @@ def _grid_sample(day: IntradayDay, grid_seconds: int) -> tuple[np.ndarray, np.nd
     return day.log_prices[pos], grid
 
 
-def daily_rv(day: IntradayDay, grid_seconds: int) -> float:
-    """Realized variance: sum of squared grid log returns for one day."""
-    if grid_seconds < 1:
-        raise RvError("grid_seconds must be >= 1")
-    prices, _ = _grid_sample(day, grid_seconds)
-    r = np.diff(prices)
-    return float(np.sum(r**2))
-
-
-def daily_return(day: IntradayDay) -> float:
-    """Open-to-close log return."""
-    return float(day.log_prices[-1] - day.log_prices[0])
-
-
 def hansen_lunde_c(y, rv) -> float:
     """Adjustment factor c = sum (y_t - ybar)^2 / sum RV_t.
 
@@ -152,7 +138,7 @@ def build_series(days, grid_seconds: int) -> BuildReport:
             continue
         dates.append(day.date)
         rvs.append(rv)
-        ys.append(daily_return(day))
+        ys.append(float(day.log_prices[-1] - day.log_prices[0]))  # open to close
     if not dates:
         raise RvError("all days rejected: " + "; ".join(f"{r.date}: {r.reason}" for r in rejected))
     series = RvSeries(dates=tuple(dates), rv=np.array(rvs), y=np.array(ys))

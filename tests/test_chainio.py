@@ -177,6 +177,14 @@ class TestReadColumns:
         with pytest.raises(ValueError, match=f"t.csv:{line}:"):
             read_table(path)
 
+    @pytest.mark.parametrize("cell", ["0.5", ""], ids=["numeric", "empty-cell"])
+    def test_repeated_header_name_refused(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"phi,mu,phi\n10.0,1.0,0.1\n11.0,2.0,{cell}\n")
+        with pytest.raises(ValueError) as exc:
+            read_columns(path)
+        assert str(exc.value) == f"{path}: column 'phi' appears twice in the header"
+
     def test_empty_file_refused(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")

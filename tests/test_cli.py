@@ -402,6 +402,18 @@ class TestScan:
         assert f"error: {meta}:1: expected 'key = value'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_theta_in_metadata_refused(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "20")
+        meta = chainio.meta_path(data)
+        lines = meta.read_text().splitlines()
+        assert lines[1].startswith("theta_true.mu = ")
+        meta.write_text("\n".join([lines[0], "theta_true.mu = abc", *lines[2:]]) + "\n")
+        out = tmp_path / "s.csv"
+        assert run("scan", "--data", data, "--out", out, "--grid", "0.3") == 1
+        assert f"error: {meta}: theta_true.mu is not a number: 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid(self, tmp_path):
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "20")
@@ -510,6 +522,19 @@ class TestRvBuild:
         assert not out.exists()
         assert "expected header 'timestamp,price'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("price", ["nan", "inf"])
+    def test_non_finite_price_refused_at_its_line(self, tmp_path, capsys, price):
+        ticks = tmp_path / "ticks.csv"
+        self._tick_file(ticks)
+        lines = ticks.read_text().splitlines()
+        lines[400] = lines[400].split(",")[0] + f",{price}"
+        ticks.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--ticks", ticks, "--out", out) == 1
+        assert f"error: {ticks}:401: price must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert not chainio.meta_path(out).exists()
+
     def test_single_tick_day_rejected_not_fatal(self, tmp_path, capsys):
         ticks = tmp_path / "ticks.csv"
         self._tick_file(ticks)
@@ -572,6 +597,17 @@ class TestDiagnose:
         summary = tmp_path / "s.csv"
         assert run("diagnose", "--chain", chain, "--out", summary) == 1
         assert f"error: {chain}: column 'phi' has a non-numeric cell" in capsys.readouterr().err
+        assert not summary.exists()
+
+    @pytest.mark.parametrize("cell", ["0.5", ""], ids=["numeric", "empty-cell"])
+    def test_repeated_column_refused(self, tmp_path, capsys, cell):
+        # a first phi column near 10 and a second near 0
+        chain = tmp_path / "chain.csv"
+        rows = [f"{10.0 + 0.01 * i},{cell if i == 7 else 0.01 * i % 1}" for i in range(300)]
+        chain.write_text("phi,phi\n" + "\n".join(rows) + "\n")
+        summary = tmp_path / "s.csv"
+        assert run("diagnose", "--chain", chain, "--out", summary) == 1
+        assert f"error: {chain}: column 'phi' appears twice in the header" in capsys.readouterr().err
         assert not summary.exists()
 
     def test_ragged_chain_refused(self, tmp_path, capsys):

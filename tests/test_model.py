@@ -134,6 +134,13 @@ class TestPotential:
             h_far[7] = value
             assert potential(h_far, theta, data) > v_mode + 1e3
 
+    @pytest.mark.parametrize("fn", [potential, grad_potential], ids=["potential", "grad_potential"])
+    def test_non_finite_path_refused(self, rng, fn):
+        theta, h, data = random_instance(rng, 10)
+        h[4] = np.nan
+        with pytest.raises(ValueError, match="non-finite value at index 4"):
+            fn(h, theta, data)
+
 
 class TestGradient:
     def test_all_zero_instance(self):

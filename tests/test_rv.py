@@ -9,8 +9,6 @@ from rsvhmc.rv import (
     RvError,
     RvSeries,
     build_series,
-    daily_return,
-    daily_rv,
     hansen_lunde_c,
 )
 
@@ -26,21 +24,34 @@ D2 = dt.date(2024, 1, 3)
 D3 = dt.date(2024, 1, 4)
 
 
+def rv_of(day):
+    """The day's RV at a 60 s grid, as ``build_series`` keeps it."""
+    return build_series([day], 60).series.rv[0]
+
+
+def rejection_of(day):
+    """Why ``build_series`` drops the day at a 60 s grid, next to a day it keeps."""
+    report = build_series([make_day(D3, [0, 60], [0.0, 0.01]), day], 60)
+    assert report.series.dates == (D3,)
+    (rejected,) = report.rejected
+    return rejected.reason
+
+
 class TestDailyRv:
     def test_constant_price_gives_zero(self):
         day = make_day(D1, [0, 60, 120, 180], [1.0, 1.0, 1.0, 1.0])
-        assert daily_rv(day, 60) == 0.0
+        assert rejection_of(day) == "zero realized variance"
 
     def test_two_grid_points(self):
         day = make_day(D1, [0, 60], [0.0, 0.01])
-        assert daily_rv(day, 60) == pytest.approx(1e-4)
+        assert rv_of(day) == pytest.approx(1e-4)
 
     def test_linear_path(self):
         # total rise r over m intervals: RV = m * (r/m)^2 = r^2 / m
         m, r = 10, 0.05
         seconds = np.arange(m + 1) * 60.0
         day = make_day(D1, seconds, np.linspace(0.0, r, m + 1))
-        assert daily_rv(day, 60) == pytest.approx(r**2 / m)
+        assert rv_of(day) == pytest.approx(r**2 / m)
 
     def test_previous_tick_ignores_intragrid_ticks(self):
         base = make_day(D1, [0, 60, 120], [0.0, 0.01, 0.03])
@@ -48,16 +59,15 @@ class TestDailyRv:
         padded = make_day(
             D1, [0, 10, 50, 60, 95, 120], [0.0, 0.5, -0.2, 0.01, 0.9, 0.03]
         )
-        assert daily_rv(padded, 60) == daily_rv(base, 60)
+        assert rv_of(padded) == rv_of(base)
 
     def test_too_few_grid_points(self):
         day = make_day(D1, [0, 5], [0.0, 0.01])
-        with pytest.raises(RvError):
-            daily_rv(day, 60)
+        assert rejection_of(day) == "fewer than 2 grid points at 60s spacing"
 
     def test_validation(self):
-        with pytest.raises(RvError, match="^timestamps must be strictly increasing$"):
-            daily_rv(make_day(D1, [0, 0], [1.0, 1.0]), 60)  # non-increasing timestamps
+        # non-increasing timestamps
+        assert rejection_of(make_day(D1, [0, 0], [1.0, 1.0])) == "timestamps must be strictly increasing"
         with pytest.raises(RvError, match="no observations"):
             make_day(D1, [], [])  # empty day
 
@@ -214,4 +224,4 @@ class TestBuildSeries:
 
     def test_open_to_close_return(self):
         day = make_day(D1, [0, 30, 60], [0.5, 0.9, 0.2])
-        assert daily_return(day) == pytest.approx(-0.3)
+        assert build_series([day], 60).series.y[0] == pytest.approx(-0.3)
