@@ -14,12 +14,6 @@ from .integrators import TrajectoryConfig
 from .model import ModelParams, ObservedSeries
 
 
-# Sokal's window closes at the first lag W >= WINDOW_FACTOR * 2 tau_int(W)
-WINDOW_FACTOR = 5.0
-# leave-one-bin-out jackknife bins for the error of 2 tau_int
-N_BINS = 20
-
-
 class DegenerateSeriesError(ValueError):
     """Series has zero variance; autocorrelation is undefined."""
 
@@ -86,82 +80,41 @@ def _fft_length(m: int) -> int:
 
 
 def integrated_act(series) -> ActEstimate:
-    """Integrated autocorrelation time 2*tau_int = 1 + 2 sum_{t<=W} ACF(t).
+    """Integrated autocorrelation time 2*tau_int = 1 + 2 sum_{t>=1} ACF(t).
 
-    The window W is the smallest lag with W >= WINDOW_FACTOR * running
-    estimate (Madras & Sokal, J. Stat. Phys. 50 (1988) 109); the error is a
-    jackknife over N_BINS leave-one-bin-out re-estimates at the same window.
+    Geyer's initial monotone sequence (Stat. Sci. 7 (1992) 473): the pair
+    sums Gamma_k = ACF(2k) + ACF(2k+1) are summed up to the first one <= 0,
+    each replaced by the least of those before it, and 2*tau_int =
+    2 sum Gamma_k - 1; the window W = 2k - 1 is the last lag summed. The
+    error is Madras & Sokal's 2*tau_int * sqrt(2 (2W + 1) / n) (J. Stat.
+    Phys. 50 (1988) 109). A series is refused when its pair sums stay
+    positive up to lag n/2, when the estimate is not positive, or when it
+    holds fewer than 20 effective samples (n < 20 * 2*tau_int).
     """
     x = np.asarray(series, dtype=np.float64)
     n = len(x)
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
     rho = acf(x, n // 2)
-    # running[t] = 1 + 2 (rho(1) + ... + rho(t)), as rho(0) = 1
-    running = 2.0 * np.cumsum(rho) - 1.0
-    # the first lag that closes the window; lag 0 never does, so 0 means none
-    window = int(np.argmax(np.arange(len(rho)) >= WINDOW_FACTOR * running))
-    if window == 0:
+    pairs = rho[: len(rho) // 2 * 2].reshape(-1, 2).sum(axis=1)
+    # the first pair sum <= 0 ends the sequence; argmax gives 0 when none is
+    k = int(np.argmax(pairs <= 0.0))
+    if pairs[k] > 0.0:
         raise ValueError(
-            f"no self-consistent window up to lag {n // 2}; series too short "
+            f"pair sums stay positive up to lag {n // 2}; series too short "
             "for its correlation length"
         )
-    estimate = float(running[window])
-
-    bin_len = n // N_BINS
-    if bin_len < window:
+    estimate = 2.0 * float(np.sum(np.minimum.accumulate(pairs[:k]))) - 1.0
+    if estimate <= 0.0:
+        raise ValueError(f"2 tau_int estimate {estimate:.3g} is not positive")
+    if n < 20.0 * estimate:
         raise ValueError(
-            f"bin length {bin_len} shorter than window {window}; "
-            "series too short for a jackknife error"
+            f"{n} samples are fewer than 20 per 2 tau_int ({estimate:.1f}); "
+            "series too short for its correlation length"
         )
-    reps = _jackknife_reps(x, rho, window)
-    err = math.sqrt((N_BINS - 1) * float(np.var(reps)))
+    window = 2 * k - 1
+    err = estimate * math.sqrt(2.0 * (2 * window + 1) / n)
     return ActEstimate(two_tau_int=estimate, error=err, window=window)
-
-
-def _jackknife_reps(x: np.ndarray, rho: np.ndarray, window: int) -> np.ndarray:
-    """2 tau_int at ``window`` of the series with each of N_BINS bins left out.
-
-    ``rho`` is the full series' ACF up to at least ``window``. Each replicate's
-    lag sums are downdated from the full series' ones: for a bin [s, e) and
-    lags t <= window <= bin length, every pair with an end in the bin lies in
-    the neighbourhood z[s-W : e+W], and every new pair across the closed gap
-    in the joined margins z[s-W : s] ++ z[e : e+W]. Pairs inside one margin are
-    in both, so kept = full - neighbourhood + joined. Cumulative sums then
-    re-centre each replicate on its own mean. Every array is O(bin length)
-    per bin.
-    """
-    n, w = len(x), window
-    bin_len = n // N_BINS
-    z = x - np.mean(x)
-    t = np.arange(w + 1)
-    starts = bin_len * np.arange(N_BINS)
-    ends = starts + bin_len
-    lo, hi = np.maximum(starts - w, 0), np.minimum(ends + w, n)
-    near = np.zeros((N_BINS, bin_len + 2 * w))
-    joined = np.zeros((N_BINS, 2 * w))
-    for b, (a, s, e, c) in enumerate(zip(lo, starts, ends, hi)):
-        near[b, : c - a] = z[a:c]
-        joined[b, : s - a] = z[a:s]
-        joined[b, s - a : s - a + c - e] = z[e:c]
-    full = rho[: w + 1] * ((n - t) * float(np.mean(z * z)))
-    sums = full - _lag_sums(near, w) + _lag_sums(joined, w)
-
-    # re-centre: the kept values' total, and the sums of their first and last t
-    m = n - bin_len
-    csum = np.concatenate(([0.0], np.cumsum(z)))
-    s, e = starts[:, None], ends[:, None]
-    after = n - e
-    total = csum[s] + csum[n] - csum[e]
-    head = csum[np.minimum(t, s)] + csum[e + np.maximum(t - s, 0)] - csum[e]
-    tail = csum[n] - csum[n - np.minimum(t, after)] + csum[s] - csum[s - np.maximum(t - after, 0)]
-    mean = total / m
-    sums += mean * (head + tail - 2.0 * total) + (m - t) * mean**2
-    # a replicate variance within rounding of zero is a constant kept series
-    if np.any(sums[:, 0] <= 1e-12 * full[0]):
-        raise DegenerateSeriesError("a jackknife replicate has zero variance")
-    rho_reps = sums / ((m - t) * (sums[:, :1] / m))
-    return 2.0 * rho_reps.sum(axis=1) - 1.0
 
 
 def rms_dh(dh_samples) -> float:

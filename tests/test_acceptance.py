@@ -375,7 +375,7 @@ class TestCriterion7Samplers:
         }
         ok = True
         details = []
-        thin = 10  # the ACT estimate needs a window shorter than a jackknife bin
+        thin = 10  # the se comes from the ACT and length of every 10th draw
         for name, series in draws.items():
             sub = series[::thin]
             est = integrated_act(sub)
