@@ -1,8 +1,9 @@
 """On-disk formats: comma-separated tables with full-precision floats and
 sidecar key-value metadata files.
 
-Floats are rendered with ``repr``, which is the shortest decimal string
-that round-trips exactly, so every file reads back bit-identical.
+Every cell and metadata value is written as ``str(value)``. For a float,
+and for a numpy float64, that is the shortest decimal string that
+round-trips exactly, so every file reads back bit-identical.
 """
 
 from __future__ import annotations
@@ -15,21 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import ObservedSeries
-
-
-def fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-# cell types whose ``str`` is already ``fmt``'s rendering, so a row made only
-# of them goes to the csv module's C writer as it is
-_PLAIN = frozenset((float, int, str))
 
 
 @contextlib.contextmanager
@@ -53,10 +39,7 @@ def write_table(path: Path, header: list[str], rows) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(
-            row if _PLAIN.issuperset(map(type, row)) else [fmt(v) for v in row]
-            for row in map(tuple, rows)
-        )
+        writer.writerows(rows)
 
 
 def read_table(path: Path) -> dict[str, list[str]]:
@@ -121,7 +104,7 @@ def write_metadata(path: Path, meta: dict) -> None:
     atomically."""
     with atomic_write(meta_path(path)) as fh:
         for key, value in meta.items():
-            fh.write(f"{key} = {fmt(value)}\n")
+            fh.write(f"{key} = {value}\n")
 
 
 def read_metadata(path: Path) -> dict[str, str]:

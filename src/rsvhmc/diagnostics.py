@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .hmc import default_init, hmc_update
+from .hmc import hmc_update
 from .integrators import TrajectoryConfig
 from .model import ModelParams, ObservedSeries
 
@@ -57,18 +57,15 @@ def acf(series, max_lag: int) -> np.ndarray:
     c0 = float(np.mean(d * d))
     if c0 <= 0.0:
         raise DegenerateSeriesError("series has zero variance")
-    rho = _lag_sums(d, max_lag) / ((n - np.arange(max_lag + 1)) * c0)
+    # every lag's sum_i d_i d_{i+t} at once from the power spectrum; zero-padding
+    # to at least n + max_lag keeps the circular correlation from wrapping those
+    # lags around
+    m = _fft_length(n + max_lag)
+    f = np.fft.rfft(d, m)
+    lag_sums = np.fft.irfft(f.real**2 + f.imag**2, m)[: max_lag + 1]
+    rho = lag_sums / ((n - np.arange(max_lag + 1)) * c0)
     rho[0] = 1.0
     return rho
-
-
-def _lag_sums(d: np.ndarray, max_lag: int) -> np.ndarray:
-    """sum_i d[..., i] d[..., i + t] for t = 0..max_lag, along the last axis."""
-    # every lag at once from the power spectrum; zero-padding to at least
-    # len + max_lag keeps the circular correlation from wrapping those lags around
-    m = _fft_length(d.shape[-1] + max_lag)
-    f = np.fft.rfft(d, m)
-    return np.fft.irfft(f.real**2 + f.imag**2, m)[..., : max_lag + 1]
 
 
 def _fft_length(m: int) -> int:
@@ -190,7 +187,7 @@ def stepsize_scan(
         raise ValueError("n_traj must be >= 1")
     if n_warm < 0:
         raise ValueError(f"n_warm must be >= 0, got {n_warm}")
-    h = model.as_path(default_init(data)[1] if h0 is None else h0, data)
+    h = model.as_path(data.ln_rv if h0 is None else h0, data)
     rng = np.random.default_rng(seed)
     cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt) for dt in grid]
     target = model.LatentTarget(theta, data)
@@ -221,8 +218,8 @@ def stepsize_scan(
         finite = dh[np.isfinite(dh)]
         if len(finite) < len(dh):
             warnings.append(
-                f"step_size={cfg.step_size:.6g}: {len(dh) - len(finite)} "
-                "trajectories left float64 range (counted as rejections)"
+                f"step_size={cfg.step_size:.6g}: {len(dh) - len(finite)} of {n_traj} "
+                "trajectories diverged"
             )
         rows.append(
             ScanRow(

@@ -99,7 +99,7 @@ def run_chain(
     n_burn: int,
     n_keep: int,
     rng: np.random.Generator,
-    prior: PriorConfig | None = None,
+    prior: PriorConfig = PriorConfig(),
     h_indices: Sequence[int] = (9,),
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = 5000,
@@ -119,8 +119,6 @@ def run_chain(
         raise ValueError("need n_burn >= 0 and n_keep >= 1")
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if prior is None:
-        prior = PriorConfig()
     theta, h = init
     h = model.as_path(h, data)
     h_indices = tuple(int(i) for i in h_indices)

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from rsvhmc import chainio
-from rsvhmc.chainio import fmt, read_columns, read_table, write_table
+from rsvhmc.chainio import read_columns, read_table, write_table
 
 
 def write_by_cell(path, header, rows):
-    """The per-cell writer: every cell rendered by ``fmt``."""
+    """The per-cell writer: every cell rendered by ``str``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            writer.writerow([str(v) for v in row])
 
 
 def read_by_cell(path):
@@ -49,9 +49,6 @@ def assert_same_columns(got, expected):
 
 
 CELLS = [
-    True,
-    False,
-    np.bool_(True),
     7,
     -3,
     np.int64(5),
@@ -63,7 +60,6 @@ CELLS = [
     1e16,
     1e-5,
     5e-324,
-    np.float32(0.1),
     np.float64(0.1),
     "a,b",
     'say "hi"',
@@ -75,18 +71,28 @@ CELLS = [
 class TestWriteTable:
     @pytest.mark.parametrize("cell", CELLS, ids=repr)
     def test_each_cell_type_matches_per_cell_writer(self, tmp_path, cell):
-        rows = [[cell], [cell, 1.25, 3, "x"], [0.1, cell]]
-        write_table(tmp_path / "fast.csv", ["a", "b", "c", "d"], rows)
-        write_by_cell(tmp_path / "slow.csv", ["a", "b", "c", "d"], rows)
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+        # the same two cells as a list, a tuple, a numpy row and a generator;
+        # a float's numpy row is float64, any other cell's holds it as it is
+        dtype = np.float64 if isinstance(cell, float) else object
+        rows = [[cell, 1.25], (cell, 1.25), np.array([cell, 1.25], dtype)]
+        rows.append(v for v in (cell, 1.25))
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b"], rows)
+        write_by_cell(tmp_path / "slow.csv", ["a", "b"], [[cell, 1.25]] * 4)
+        assert path.read_bytes() == (tmp_path / "slow.csv").read_bytes()
+        assert read_table(path) == {"a": [str(cell)] * 4, "b": ["1.25"] * 4}
+        if isinstance(cell, float):
+            assert read_columns(path)["a"].tobytes() == np.full(4, cell).tobytes()
 
     def test_mixed_rows_of_any_iterable(self, tmp_path):
         x = np.random.default_rng(1).normal(size=(50, 3)) * 1e3
-        rows = [*x.tolist(), *x, *map(tuple, x.tolist()), (v for v in (1, 2.5, "z"))]
-        write_table(tmp_path / "fast.csv", ["a", "b", "c"], rows)
-        slow_rows = [*x.tolist(), *x, *map(tuple, x.tolist()), (1, 2.5, "z")]
-        write_by_cell(tmp_path / "slow.csv", ["a", "b", "c"], slow_rows)
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+        rows = [*x[:20].tolist(), *x[20:30], *map(tuple, x[30:40].tolist())]
+        rows += [(v for v in row) for row in x[40:].tolist()]
+        path = tmp_path / "t.csv"
+        write_table(path, ["a", "b", "c"], rows)
+        write_by_cell(tmp_path / "slow.csv", ["a", "b", "c"], x.tolist())
+        assert path.read_bytes() == (tmp_path / "slow.csv").read_bytes()
+        assert np.stack(list(read_columns(path).values()), axis=1).tobytes() == x.tobytes()
 
     def test_failed_write_leaves_no_file(self, tmp_path):
         def rows():
@@ -102,7 +108,7 @@ class TestWriteTable:
         path = tmp_path / "t.csv"
         write_table(path, ["a"], [[1.0]])
         before = path.read_bytes()
-        with pytest.raises(TypeError):
+        with pytest.raises(csv.Error):
             write_table(path, ["a"], [[2.0], 3.0])  # a row that is not iterable
         assert path.read_bytes() == before
         assert not (tmp_path / "t.csv.tmp").exists()

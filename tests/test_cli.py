@@ -781,14 +781,17 @@ class TestUsageErrors:
 class TestEntryPoint:
     """``python -m rsvhmc.cli`` exits with ``main``'s code."""
 
-    def cli(self, tmp_path, *argv):
+    def python(self, tmp_path, *argv):
         src = str(Path(rsvhmc.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
         return subprocess.run(
-            [sys.executable, "-m", "rsvhmc.cli", *argv],
+            [sys.executable, *argv],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
+
+    def cli(self, tmp_path, *argv):
+        return self.python(tmp_path, "-m", "rsvhmc.cli", *argv)
 
     @pytest.mark.parametrize(
         "argv,code",
@@ -808,3 +811,14 @@ class TestEntryPoint:
         else:
             assert "usage: rsvhmc" in proc.stdout
         assert not list(tmp_path.iterdir())
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        # the program is numpy only: importing scipy.fft alone doubles a bare
+        # process's peak RSS. The tests import scipy, so this runs in its own process.
+        code = (
+            "import sys, rsvhmc.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = self.python(tmp_path, "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"

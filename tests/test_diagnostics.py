@@ -232,6 +232,18 @@ class TestStepsizeScan:
             assert row.efficiency == row.acceptance * row.step_size
         assert result.optimum.efficiency == max(r.efficiency for r in result.rows)
 
+    def test_oversized_step_counted_as_divergences(self):
+        ds = simulate(STUDY_PARAMS, 300, seed=5)
+        result = stepsize_scan(
+            ds.data, ds.theta_true, "2lfi", [0.05, 0.1, 0.6], n_traj=60, n_warm=20
+        )
+        last = result.rows[-1]
+        assert last.step_size == 2.0 / 3.0
+        assert last.acceptance == 0.0
+        assert last.rms_dh == math.inf
+        diverged = [w for w in result.warnings if "diverged" in w]
+        assert diverged == ["step_size=0.666667: 60 of 60 trajectories diverged"]
+
     def test_empty_grid_rejected(self):
         ds = simulate(STUDY_PARAMS, 50, seed=14)
         with pytest.raises(ValueError):
