@@ -45,6 +45,15 @@ _PRIOR_NAMES = ("a_eta", "b_eta", "a_u", "b_u")
 _SCHEME = dict(type=lambda name: name.strip().lower(), default="2mni", help=" or ".join(SPLITTINGS))
 
 
+def _list_of(kind):
+    """An argparse type: comma-separated values of ``kind``, blank entries
+    skipped. argparse names it in a usage error ("invalid float list value")."""
+    def parse(text):
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as a ValueError (exit 1); subparsers share the class."""
 
@@ -108,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--n-keep", type=int, default=50000)
     est.add_argument("--seed", type=int, default=0)
     est.add_argument(
-        "--record-h",
-        default="10",
+        "--record-h", type=_list_of(int), default="10",
         help="comma-separated 1-based h indices to record (default: 10)",
     )
     for name in _PRIOR_NAMES:
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--data", type=Path, required=True)
     scan.add_argument("--out", type=Path, required=True, help="output scan table")
     scan.add_argument("--scheme", **_SCHEME)
-    scan.add_argument("--grid", required=True, help="comma-separated step sizes")
+    scan.add_argument("--grid", type=_list_of(float), required=True, help="comma-separated step sizes")
     scan.add_argument("--total-length", type=float, default=2.0)
     scan.add_argument("--n-traj", type=int, default=2000)
     scan.add_argument(
@@ -147,13 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_theta(args, meta: dict[str, str] | None) -> ModelParams:
+def _parse_theta(args, meta: dict[str, str]) -> ModelParams:
     vals = {}
     for name in PARAM_NAMES:
         flag, key = getattr(args, name, None), f"theta_true.{name}"
         if flag is not None:
             vals[name] = flag
-        elif meta is not None and key in meta:
+        elif key in meta:
             try:
                 vals[name] = float(meta[key])
             except ValueError:
@@ -184,10 +192,7 @@ def cmd_estimate(args) -> int:
     data = chainio.read_series(args.data)
     cfg = TrajectoryConfig.from_length(args.scheme, args.total_length, args.step_size)
     prior = PriorConfig(**{name: getattr(args, name) for name in _PRIOR_NAMES})
-    try:
-        h_indices = tuple(int(tok) - 1 for tok in str(args.record_h).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValueError(f"bad --record-h value {args.record_h!r}") from exc
+    h_indices = tuple(i - 1 for i in args.record_h)
 
     # no mkdir: run_chain refuses bad settings before its first checkpoint and
     # every writer creates the directory, so a refused run leaves no --out
@@ -261,20 +266,15 @@ def _write_summary(path: Path, cols: dict[str, np.ndarray]):
 def cmd_scan(args) -> int:
     data = chainio.read_series(args.data)
     try:
-        grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad --grid value {args.grid!r}") from exc
-    meta = None
-    try:
         meta = chainio.read_metadata(args.data)
     except OSError:
-        pass
+        meta = {}
     theta = _parse_theta(args, meta)
     result = stepsize_scan(
         data,
         theta,
         args.scheme,
-        grid,
+        args.grid,
         total_length=args.total_length,
         n_traj=args.n_traj,
         n_warm=args.n_warm,
@@ -356,8 +356,6 @@ def cmd_rv_build(args) -> int:
         rejected = ()
 
     c = rvmod.hansen_lunde_c(series.y, series.rv)
-    if c <= 0.0:
-        raise ValueError("daily returns have zero variance; c is degenerate")
     rows = (
         (series.dates[i], series.y[i], series.rv[i], c * series.rv[i], math.log(series.rv[i]))
         for i in range(len(series.y))

@@ -198,22 +198,19 @@ def stepsize_scan(
     # short pre-warm at a fifth of the step size: a rough starting path can
     # have uniformly large delta-H at the target step, stalling the warm-up
     pre_cfg = TrajectoryConfig(scheme, warm.step_size / 5.0, warm.n_steps)
-    for _ in range(min(100, n_warm)):
-        out = hmc_update(h, sums, target, pre_cfg, rng)
-        h, sums = out.h_new, out.sums
-    for _ in range(n_warm):
-        out = hmc_update(h, sums, target, warm, rng)
-        h, sums = out.h_new, out.sums
+    # (config, trajectories) in the order run; the two warm-up phases come first
+    phases = [(pre_cfg, min(100, n_warm)), (warm, n_warm), *((cfg, n_traj) for cfg in cfgs)]
     rows = []
     warnings = []
-    for cfg in cfgs:
-        dh = np.empty(n_traj)
-        acc = np.empty(n_traj, dtype=bool)
-        for i in range(n_traj):
+    for k, (cfg, count) in enumerate(phases):
+        dh = np.empty(count)
+        acc = np.empty(count, dtype=bool)
+        for i in range(count):
             out = hmc_update(h, sums, target, cfg, rng)
             h, sums = out.h_new, out.sums
-            dh[i] = out.delta_h
-            acc[i] = out.accepted
+            dh[i], acc[i] = out.delta_h, out.accepted
+        if k < 2:
+            continue
         p = float(np.mean(acc))
         finite = dh[np.isfinite(dh)]
         if len(finite) < len(dh):

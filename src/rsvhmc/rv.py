@@ -92,7 +92,7 @@ def hansen_lunde_c(y, rv) -> float:
     """Adjustment factor c = sum (y_t - ybar)^2 / sum RV_t.
 
     With this convention mean(c * RV) equals the n-denominator sample
-    variance of y exactly.
+    variance of y exactly. Constant returns give c = 0, which is refused.
     """
     y = np.asarray(y, dtype=np.float64)
     rv = np.asarray(rv, dtype=np.float64)
@@ -100,7 +100,10 @@ def hansen_lunde_c(y, rv) -> float:
         raise RvError("need equal-length series with n >= 2")
     if np.any(rv <= 0.0):
         raise RvError("rv must be strictly positive")
-    return float(np.sum((y - np.mean(y)) ** 2)) / float(np.sum(rv))
+    c = float(np.sum((y - np.mean(y)) ** 2)) / float(np.sum(rv))
+    if c <= 0.0:
+        raise RvError("daily returns have zero variance; c is degenerate")
+    return c
 
 
 def build_series(days, grid_seconds: int) -> BuildReport:

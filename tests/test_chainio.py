@@ -129,6 +129,12 @@ def test_failed_metadata_rewrite_keeps_previous_sidecar(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv.meta"]
 
 
+def test_metadata_blank_lines_skipped(tmp_path):
+    path = tmp_path / "t.csv"
+    chainio.meta_path(path).write_text("a = 1\n\n  \nb = x y\n\n")
+    assert chainio.read_metadata(path) == {"a": "1", "b": "x y"}
+
+
 class TestReadColumns:
     @pytest.mark.parametrize(
         "text",
@@ -238,6 +244,14 @@ class TestReadSeries:
         with pytest.raises(ValueError) as exc:
             chainio.read_series(path)
         assert str(exc.value) == f"{path}: column '{column}' has a non-numeric cell"
+
+    @pytest.mark.parametrize("rv", ["0.0", "-0.5"])
+    def test_non_positive_rv_refused(self, tmp_path, rv):
+        path = tmp_path / "d.csv"
+        path.write_text(f"y,rv\n0.1,0.5\n-0.2,{rv}\n")
+        with pytest.raises(ValueError) as exc:
+            chainio.read_series(path)
+        assert str(exc.value) == f"{path}: 'rv' column must be strictly positive"
 
     def test_rv_column_read_as_its_log(self, tmp_path):
         path = tmp_path / "d.csv"

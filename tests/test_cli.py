@@ -12,7 +12,9 @@ import pytest
 import rsvhmc.hmc
 from rsvhmc import chainio
 from rsvhmc.cli import main
+from rsvhmc.diagnostics import stepsize_scan
 from rsvhmc.integrators import DEFAULT_LAMBDA
+from rsvhmc.synth import STUDY_PARAMS
 
 
 def run(*argv):
@@ -382,6 +384,30 @@ class TestScan:
         )
         assert rc == 0
 
+    def test_theta_neither_flagged_nor_in_metadata_refused(self, tmp_path, capsys):
+        data = tmp_path / "bare.csv"
+        chainio.write_table(data, ["t", "y", "ln_rv"], [(t, 0.01 * t, -1.0) for t in range(20)])
+        out = tmp_path / "s.csv"
+        assert run("scan", "--data", data, "--out", out, "--grid", "0.3", "--phi", "0.9") == 1
+        err = capsys.readouterr().err
+        assert err == "error: parameter mu not given and not present in dataset metadata\n"
+        assert not out.exists()
+
+    def test_library_warnings_printed(self, tmp_path, capsys):
+        # 2LFI at a step of 2/3 sends every trajectory out of float64 range
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "300", "--seed", "5")
+        out = tmp_path / "s.csv"
+        grid = ("--grid", "0.05,0.1,0.6", "--n-traj", "60", "--n-warm", "20")
+        assert run("scan", "--data", data, "--out", out, "--scheme", "2lfi", *grid) == 0
+        err = capsys.readouterr().err
+        assert "warning: step_size=0.666667: 60 of 60 trajectories diverged\n" in err
+        # simulate's default parameters, which scan reads back from the metadata
+        result = stepsize_scan(
+            chainio.read_series(data), STUDY_PARAMS, "2lfi", [0.05, 0.1, 0.6], n_traj=60, n_warm=20
+        )
+        assert err == "".join(f"warning: {w}\n" for w in result.warnings)
+
     def test_negative_n_warm_refused(self, tmp_path):
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "20")
@@ -567,6 +593,37 @@ class TestRvBuild:
         assert len(cols["rv"]) == 2
         assert chainio.read_metadata(out)["n_rejected"] == "1"
 
+    def test_bad_tick_row_refused_at_its_line(self, tmp_path, capsys):
+        ticks = tmp_path / "ticks.csv"
+        self._tick_file(ticks)
+        lines = ticks.read_text().splitlines()
+        lines[400] = "2024-01-03T13:99:00,100.0"
+        ticks.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--ticks", ticks, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {ticks}:401: bad tick row ['2024-01-03T13:99:00', '100.0']\n"
+        assert not out.exists()
+
+    def test_daily_without_date_refused(self, tmp_path, capsys):
+        daily = tmp_path / "daily.csv"
+        chainio.write_table(daily, ["day", "y", "rv"], [(1, 0.01, 0.0002), (2, -0.02, 0.0003)])
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--daily", daily, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {daily}: missing column 'date'\n"
+        assert not out.exists()
+
+    def test_constant_returns_refused(self, tmp_path, capsys):
+        daily = tmp_path / "daily.csv"
+        rows = [("2024-01-02", 0.01, 0.0002), ("2024-01-03", 0.01, 0.0003)]
+        chainio.write_table(daily, ["date", "y", "rv"], rows)
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--daily", daily, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: daily returns have zero variance; c is degenerate\n"
+        assert not out.exists()
+        assert not chainio.meta_path(out).exists()
+
     def test_requires_exactly_one_input(self, tmp_path):
         assert run("rv-build", "--out", tmp_path / "o.csv") == 1
 
@@ -617,6 +674,14 @@ class TestDiagnose:
         assert "chain.csv:4:" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_chain_of_run_columns_only_refused(self, tmp_path, capsys):
+        chain = tmp_path / "chain.csv"
+        chain.write_text("iteration,delta_h,accepted\n" + "".join(f"{i},0.1,1\n" for i in range(200)))
+        summary = tmp_path / "s.csv"
+        assert run("diagnose", "--chain", chain, "--out", summary) == 1
+        assert capsys.readouterr().err == f"error: {chain}: no parameter columns found\n"
+        assert not summary.exists()
+
     def test_missing_chain(self, tmp_path):
         assert run("diagnose", "--chain", tmp_path / "x.csv", "--out", tmp_path / "s.csv") == 1
 
@@ -635,6 +700,25 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
         assert run("--config", cfg, "simulate", "--out", tmp_path / "d.csv") == 1
+
+    def test_config_not_an_object_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"n": 30}]))
+        out = tmp_path / "d.csv"
+        assert run("--config", cfg, "simulate", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: config {cfg} must be a JSON object\n"
+        assert not out.exists()
+
+    def test_config_list_value_checked_by_flag_type(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run("simulate", "--out", "d.csv", "--n", "20")
+        Path("cfg.json").write_text(json.dumps({"grid": "0.1,x"}))
+        capsys.readouterr()
+        assert run("--config", "cfg.json", "scan", "--data", "d.csv", "--out", "s.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --grid: invalid float list value: '0.1,x'\n")
+        assert "usage: rsvhmc" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv", "d.csv.meta"]
 
     def test_config_value_checked_by_flag_type(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -697,8 +781,16 @@ class TestUsageErrors:
             (("simulate",), "required: --out"),
             (("estimate", "--out", "o"), "required: --data"),
             (("simulate", "--out", "d.csv", "--no-such-flag"), "unrecognized arguments"),
+            (
+                ("scan", "--data", "d.csv", "--out", "s.csv", "--grid", "0.1,abc"),
+                "argument --grid: invalid float list value: '0.1,abc'",
+            ),
+            (
+                ("estimate", "--data", "d.csv", "--out", "o", "--record-h", "10,x"),
+                "argument --record-h: invalid int list value: '10,x'",
+            ),
         ],
-        ids=["bad_value", "no_command", "no_out", "no_data", "unknown_flag"],
+        ids=["bad_value", "no_command", "no_out", "no_data", "unknown_flag", "bad_grid", "bad_record_h"],
     )
     def test_usage_error_returns_one(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)

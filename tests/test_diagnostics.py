@@ -134,6 +134,14 @@ class TestIntegratedAct:
         with pytest.raises(ValueError, match="non-finite"):
             integrated_act(x)
 
+    def test_pair_sums_positive_to_half_length_refused(self):
+        # alternation with a growing amplitude: every rho(2k) exceeds rho(2k + 1)
+        with pytest.raises(ValueError) as exc:
+            integrated_act((-1.0) ** np.arange(100) * np.arange(1.0, 101.0))
+        assert str(exc.value) == (
+            "pair sums stay positive up to lag 50; series too short for its correlation length"
+        )
+
     def test_strongly_correlated_short_series_errors(self):
         x = np.cumsum(np.random.default_rng(0).normal(size=200))
         with pytest.raises(ValueError):
@@ -248,6 +256,12 @@ class TestStepsizeScan:
         ds = simulate(STUDY_PARAMS, 50, seed=14)
         with pytest.raises(ValueError):
             stepsize_scan(ds.data, ds.theta_true, "2lfi", [])
+
+    def test_zero_n_traj_rejected(self):
+        ds = simulate(STUDY_PARAMS, 50, seed=14)
+        with pytest.raises(ValueError) as exc:
+            stepsize_scan(ds.data, ds.theta_true, "2lfi", [0.2], n_traj=0)
+        assert str(exc.value) == "n_traj must be >= 1"
 
     def test_negative_n_warm_rejected(self):
         ds = simulate(STUDY_PARAMS, 50, seed=14)

@@ -384,6 +384,12 @@ class TestResume:
         with pytest.raises(ValueError, match="not a readable"):
             self.run(ds, ckpt, resume=True)
 
+    def test_resume_without_checkpoint_path_refused(self):
+        ds = small_dataset(n=60)
+        with pytest.raises(ValueError) as exc:
+            self.run(ds, None, resume=True)
+        assert str(exc.value) == "resume needs a checkpoint_path"
+
 
 class TestStartingPath:
     """The updates validate nothing, so run_chain and stepsize_scan check the start."""

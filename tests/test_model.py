@@ -92,6 +92,21 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             ObservedSeries(y=np.zeros(3), ln_rv=np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "y,ln_rv,message",
+        [
+            (np.zeros((2, 2)), np.zeros((2, 2)), "y and ln_rv must be 1-dimensional"),
+            ([], [], "series must contain at least one observation"),
+            ([0.1, math.nan], [0.0, 0.0], "series contains non-finite entries"),
+            ([0.1, 0.2], [0.0, -math.inf], "series contains non-finite entries"),
+        ],
+        ids=["two_dimensional", "empty", "nan_return", "infinite_ln_rv"],
+    )
+    def test_series_refused(self, y, ln_rv, message):
+        with pytest.raises(ValueError) as exc:
+            ObservedSeries(y=y, ln_rv=ln_rv)
+        assert str(exc.value) == message
+
 
 class TestPotential:
     def test_single_point_at_mean(self):

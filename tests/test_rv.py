@@ -71,6 +71,20 @@ class TestDailyRv:
         with pytest.raises(RvError, match="no observations"):
             make_day(D1, [], [])  # empty day
 
+    @pytest.mark.parametrize(
+        "seconds,log_prices,message",
+        [
+            ([0, 60, 120], [0.0, 0.01], "2024-01-02: timestamp/price length mismatch"),
+            ([0, 60], [0.0, np.nan], "2024-01-02: non-finite tick data"),
+            ([0, np.inf], [0.0, 0.01], "2024-01-02: non-finite tick data"),
+        ],
+        ids=["length_mismatch", "nan_price", "infinite_time"],
+    )
+    def test_day_refused(self, seconds, log_prices, message):
+        with pytest.raises(RvError) as exc:
+            make_day(D1, seconds, log_prices)
+        assert str(exc.value) == message
+
 
 class TestHansenLunde:
     def test_population_matched_rv(self):
@@ -99,12 +113,33 @@ class TestHansenLunde:
         with pytest.raises(RvError):
             hansen_lunde_c([1.0, 2.0], [1.0, -1.0])
 
+    def test_constant_returns_refused(self):
+        # c = 0 would make -log(c) and every adjusted RV meaningless
+        with pytest.raises(RvError) as exc:
+            hansen_lunde_c([0.01, 0.01, 0.01], [1e-4, 2e-4, 3e-4])
+        assert str(exc.value) == "daily returns have zero variance; c is degenerate"
+
 
 class TestRvSeries:
     @pytest.mark.parametrize("dates", [(D1, D1), (D2, D1)], ids=["repeated", "out_of_order"])
     def test_dates_must_increase(self, dates):
         with pytest.raises(RvError, match="strictly increasing"):
             RvSeries(dates=dates, rv=[1e-4, 2e-4], y=[0.01, -0.01])
+
+    @pytest.mark.parametrize(
+        "rv,y,message",
+        [
+            ([1e-4], [0.01, -0.01], "dates, rv and y must be aligned"),
+            ([1e-4, 2e-4], [0.01], "dates, rv and y must be aligned"),
+            ([1e-4, 0.0], [0.01, -0.01], "rv must be strictly positive for retained days"),
+            ([-1e-4, 2e-4], [0.01, -0.01], "rv must be strictly positive for retained days"),
+        ],
+        ids=["short_rv", "short_y", "zero_rv", "negative_rv"],
+    )
+    def test_series_refused(self, rv, y, message):
+        with pytest.raises(RvError) as exc:
+            RvSeries(dates=(D1, D2), rv=rv, y=y)
+        assert str(exc.value) == message
 
 
 class TestBuildSeries:
@@ -186,6 +221,11 @@ class TestBuildSeries:
         report = build_series(days, 60)
         assert report.series.dates == (D1,)
         assert "coverage" in report.rejected[0].reason
+
+    def test_no_days_refused(self):
+        with pytest.raises(RvError) as exc:
+            build_series([], 60)
+        assert str(exc.value) == "no days supplied"
 
     def test_all_days_rejected(self):
         days = [make_day(D1, [0, 60, 120], [1.0, 1.0, 1.0])]
