@@ -65,7 +65,8 @@ class _Config(argparse.Action):
     """``--config FILE`` installs the JSON object's values as defaults of the
     subcommand flags before the subcommand is parsed, so explicit flags win and
     a config value satisfies a required flag. Values go in as text so that
-    argparse checks each through its flag's type; a switch's must be a boolean."""
+    argparse checks each through its flag's type, a JSON array as its entries
+    joined by commas; a switch's must be a boolean."""
 
     def __call__(self, parser, namespace, path, option_string=None):
         try:
@@ -83,7 +84,7 @@ class _Config(argparse.Action):
                     continue
                 value = values[action.dest]
                 if not isinstance(action, argparse._StoreTrueAction):
-                    value = str(value)
+                    value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
                 elif not isinstance(value, bool):
                     flag = action.option_strings[0]
                     raise ValueError(f"config {path}: {flag} takes true or false, got {value!r}")
@@ -123,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _PRIOR_NAMES:
         est.add_argument(f"--{name.replace('_', '-')}", type=float, default=getattr(PriorConfig, name))
     est.add_argument("--checkpoint-every", type=int, default=5000)
-    est.add_argument("--resume", action="store_true", help="resume from the checkpoint in --out")
 
     scan = sub.add_parser("scan", help="step-size grid scan")
     scan.add_argument("--data", type=Path, required=True)
@@ -209,7 +209,6 @@ def cmd_estimate(args) -> int:
         h_indices=h_indices,
         checkpoint_path=ckpt,
         checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
     )
 
     header = [_RUN_COLUMNS[0], *result.draws, *_RUN_COLUMNS[1:]]

@@ -103,15 +103,14 @@ def run_chain(
     h_indices: Sequence[int] = (9,),
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = 5000,
-    resume: bool = False,
 ) -> ChainResult:
     """Run the full sampler: one HMC path update plus one parameter sweep per iteration.
 
     Records theta, delta_h, the accept flag and the selected h components for
     every kept iteration, and counts the divergent trajectories of every
-    iteration. With ``checkpoint_path``, the state is saved every
-    ``checkpoint_every`` iterations; ``resume`` continues from that file and
-    refuses one written for other data, settings or seed.
+    iteration. With ``checkpoint_path``, the state is saved there every
+    ``checkpoint_every`` iterations, and a run that finds that file continues
+    from it; a file unreadable or written for other data, settings or seed is refused and kept.
     """
     if data.n < 2:
         raise ValueError(f"need a series of n >= 2 observations, got {data.n}")
@@ -139,9 +138,7 @@ def run_chain(
         data, init, cfg, n_burn, n_keep, prior, h_indices, rng.bit_generator.state
     )
     start, n_accept, n_divergent, elapsed = 0, 0, 0, 0.0
-    if resume:
-        if checkpoint_path is None:
-            raise ValueError("resume needs a checkpoint_path")
+    if checkpoint_path is not None and Path(checkpoint_path).exists():
         state, saved = _load_checkpoint(Path(checkpoint_path), fingerprint)
         start, n_accept, n_divergent = state["iteration"], state["n_accept"], state["n_divergent"]
         theta, h = ModelParams(**state["theta"]), saved["h"].copy()
@@ -216,12 +213,13 @@ def save_checkpoint(path: Path, state: dict, **arrays: np.ndarray) -> None:
 
 
 def _load_checkpoint(path: Path, fingerprint: str) -> tuple[dict, dict[str, np.ndarray]]:
+    start_over = "delete it, or choose another output path, to start over"
     try:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         state = json.loads(str(arrays.pop("state")))
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"cannot resume: {path} is not a readable chain checkpoint ({exc})") from exc
+        raise ValueError(f"cannot resume: {path} is not a readable chain checkpoint ({exc}); {start_over}") from exc
     if not isinstance(state, dict) or state.get("fingerprint") != fingerprint:
-        raise ValueError(f"cannot resume: {path} was written for other data, settings or seed")
+        raise ValueError(f"cannot resume: {path} was written for other data, settings or seed; {start_over}")
     return state, arrays

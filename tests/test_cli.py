@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -294,7 +295,7 @@ class TestResume:
 
     def test_resumed_outputs_match_uninterrupted_run(self, tmp_path, aborted):
         data, out = aborted
-        assert self.estimate(data, out, "--resume") == 0
+        assert self.estimate(data, out) == 0
         assert self.estimate(data, tmp_path / "whole") == 0
         for name in ("chain.csv", "summary.csv"):
             assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
@@ -304,43 +305,46 @@ class TestResume:
         assert meta == whole
         assert not (out / "checkpoint.npz").exists()
 
+    def refused(self, data, out, *change):
+        """Rerun with ``change`` and no other flag: exit 1, the checkpoint kept as it was."""
+        ckpt = out / "checkpoint.npz"
+        before = ckpt.read_bytes()
+        assert self.estimate(data, out, *change) == 1
+        assert ckpt.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.npz"]
+
     @pytest.mark.parametrize(
         "change",
         [("--seed", "78"), ("--step-size", "0.25"), ("--record-h", "10,20"), ("--n-keep", "201")],
     )
-    def test_changed_flags_refused(self, aborted, change):
+    def test_changed_flags_refused(self, aborted, change, capsys):
         data, out = aborted
-        before = (out / "checkpoint.npz").read_bytes()
-        assert self.estimate(data, out, *change, "--resume") == 1
-        assert (out / "checkpoint.npz").read_bytes() == before
-        assert not (out / "chain.csv").exists()
+        capsys.readouterr()
+        self.refused(data, out, *change)
+        assert capsys.readouterr().err == (
+            f"error: cannot resume: {out / 'checkpoint.npz'} was written for other data, "
+            "settings or seed; delete it, or choose another output path, to start over\n"
+        )
 
     def test_changed_data_refused(self, tmp_path, aborted):
         _, out = aborted
         other = tmp_path / "other.csv"
         run("simulate", "--out", other, "--n", "60", "--seed", "3")
-        before = (out / "checkpoint.npz").read_bytes()
-        assert self.estimate(other, out, "--resume") == 1
-        assert (out / "checkpoint.npz").read_bytes() == before
+        self.refused(other, out)
 
-    def test_truncated_checkpoint_refused(self, aborted):
+    def test_truncated_checkpoint_refused(self, aborted, capsys):
         data, out = aborted
         ckpt = out / "checkpoint.npz"
         ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
-        assert self.estimate(data, out, "--resume") == 1
-        assert ckpt.exists()
+        capsys.readouterr()
+        self.refused(data, out)
+        assert f"error: cannot resume: {ckpt} is not a readable chain checkpoint" in capsys.readouterr().err
 
     def test_pickle_checkpoint_is_never_unpickled(self, aborted):
         data, out = aborted
         (out / "checkpoint.npz").write_bytes(pickle.dumps(_PickleTrap()))
-        assert self.estimate(data, out, "--resume") == 1
+        self.refused(data, out)
         assert not SPRUNG
-        assert (out / "checkpoint.npz").exists()
-
-    def test_missing_checkpoint_refused(self, tmp_path):
-        data = tmp_path / "data.csv"
-        run("simulate", "--out", data, "--n", "60", "--seed", "2")
-        assert self.estimate(data, tmp_path / "fresh", "--resume") == 1
 
 
 class TestScan:
@@ -712,13 +716,35 @@ class TestConfigFile:
     def test_config_list_value_checked_by_flag_type(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         run("simulate", "--out", "d.csv", "--n", "20")
-        Path("cfg.json").write_text(json.dumps({"grid": "0.1,x"}))
-        capsys.readouterr()
-        assert run("--config", "cfg.json", "scan", "--data", "d.csv", "--out", "s.csv") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: argument --grid: invalid float list value: '0.1,x'\n")
-        assert "usage: rsvhmc" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv", "d.csv.meta"]
+        for value in ("0.1,x", [0.1, "x"]):  # a JSON array is checked as its comma-joined text
+            Path("cfg.json").write_text(json.dumps({"grid": value}))
+            capsys.readouterr()
+            assert run("--config", "cfg.json", "scan", "--data", "d.csv", "--out", "s.csv") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: argument --grid: invalid float list value: '0.1,x'\n")
+            assert "usage: rsvhmc" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv", "d.csv.meta"]
+
+    @pytest.mark.parametrize(
+        "key,array,argv,outputs",
+        [
+            ("grid", [0.02, 0.04], ("scan", "--n-traj", "20", "--n-warm", "5"), ("",)),
+            (
+                "record_h", [1, 10], ("estimate", "--n-burn", "2", "--n-keep", "20"),
+                ("chain.csv", "summary.csv"),
+            ),
+        ],
+        ids=["grid", "record_h"],
+    )
+    def test_config_array_is_the_list_flag(self, tmp_path, monkeypatch, key, array, argv, outputs):
+        """A JSON array in a config gives the same output bytes as its comma-separated text."""
+        monkeypatch.chdir(tmp_path)
+        run("simulate", "--out", "d.csv", "--n", "30")
+        for name, value in (("array", array), ("text", ",".join(map(str, array)))):
+            Path(f"{name}.json").write_text(json.dumps({key: value}))
+            assert run("--config", f"{name}.json", *argv, "--data", "d.csv", "--out", name) == 0
+        for output in outputs:
+            assert Path("array", output).read_bytes() == Path("text", output).read_bytes()
 
     def test_config_value_checked_by_flag_type(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -740,9 +766,8 @@ class TestConfigFile:
         "key,value,argv",
         [
             ("write-h", "false", ("simulate", "--out", "e.csv", "--n", "20")),
-            ("resume", 0, ("estimate", "--data", "d.csv", "--out", "run", "--n-burn", "2", "--n-keep", "5")),
         ],
-        ids=["write_h", "resume"],
+        ids=["write_h"],
     )
     def test_config_switch_takes_only_a_boolean(self, tmp_path, monkeypatch, capsys, key, value, argv):
         monkeypatch.chdir(tmp_path)
@@ -914,3 +939,26 @@ class TestEntryPoint:
         proc = self.python(tmp_path, "-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "\n"
+
+
+class TestReadme:
+    FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+    def help_text(self, capsys, *command):
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--help")
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_cli_section_names_every_flag(self, capsys):
+        """README's CLI section names each flag of `rsvhmc [<command>] --help`, and no other."""
+        top = self.help_text(capsys)
+        commands = re.search(r"\{([a-z,-]+)\}", top).group(1).split(",")
+        assert "estimate" in commands
+        helps = [top, *(self.help_text(capsys, c) for c in commands)]
+        flags = {flag for text in helps for flag in self.FLAG.findall(text)}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        named = set(self.FLAG.findall(section))
+        assert sorted(flags - named) == []
+        assert sorted(named - flags) == []

@@ -270,16 +270,16 @@ class TestRunChain:
 
 
 class TestResume:
-    """A run aborted after a checkpoint and resumed equals an uninterrupted run."""
+    """A run aborted after a checkpoint and rerun unchanged equals an uninterrupted run."""
 
     N_BURN, N_KEEP, EVERY = 30, 100, 20  # checkpoints after 20, 40, ..., 120 of 130
 
-    def run(self, ds, ckpt, resume=False, rng_seed=5, step_size=0.2):
+    def run(self, ds, ckpt, rng_seed=5, step_size=0.2):
         cfg = TrajectoryConfig.from_length("2mni", 1.0, step_size)
         return run_chain(
             ds.data, default_init(ds.data), cfg, self.N_BURN, self.N_KEEP,
             np.random.default_rng(rng_seed), h_indices=(0, 9),
-            checkpoint_path=ckpt, checkpoint_every=self.EVERY, resume=resume,
+            checkpoint_path=ckpt, checkpoint_every=self.EVERY,
         )
 
     def abort_at(self, monkeypatch, iteration):
@@ -310,7 +310,7 @@ class TestResume:
         stored = float(saved["elapsed"]) + 1000.0
         np.savez(ckpt, **{**saved, "elapsed": np.float64(stored)})
         t0 = time.perf_counter()
-        resumed = self.run(ds, ckpt, resume=True)
+        resumed = self.run(ds, ckpt)
         piece = time.perf_counter() - t0
         assert list(resumed.draws) == list(unbroken.draws)
         for name in unbroken.draws:
@@ -333,7 +333,7 @@ class TestResume:
             self.abort_at(m, 70)
             with pytest.raises(KeyboardInterrupt):
                 self.run(ds, ckpt, step_size=0.5)
-        resumed = self.run(ds, ckpt, resume=True, step_size=0.5)
+        resumed = self.run(ds, ckpt, step_size=0.5)
         assert resumed.n_divergent == unbroken.n_divergent
         np.testing.assert_array_equal(resumed.delta_h, unbroken.delta_h)
 
@@ -345,8 +345,12 @@ class TestResume:
             with pytest.raises(KeyboardInterrupt):
                 self.run(ds, ckpt)
         before = ckpt.read_bytes()
-        with pytest.raises(ValueError, match="other data"):
-            self.run(ds, ckpt, resume=True, rng_seed=6)
+        with pytest.raises(ValueError) as exc:
+            self.run(ds, ckpt, rng_seed=6)
+        assert str(exc.value) == (
+            f"cannot resume: {ckpt} was written for other data, settings or seed; "
+            "delete it, or choose another output path, to start over"
+        )
         assert ckpt.read_bytes() == before
 
     def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
@@ -364,7 +368,7 @@ class TestResume:
 
         monkeypatch.setattr(np, "savez", disk_full)
         with pytest.raises(OSError, match="No space"):
-            self.run(ds, ckpt, resume=True)
+            self.run(ds, ckpt)
         assert ckpt.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["chain.npz"]
 
@@ -378,17 +382,13 @@ class TestResume:
     def test_missing_or_foreign_file_refused(self, tmp_path):
         ds = small_dataset(n=60)
         ckpt = tmp_path / "chain.npz"
-        with pytest.raises(ValueError, match="not a readable"):
-            self.run(ds, ckpt, resume=True)
         np.savez(ckpt, h=np.zeros(60))
-        with pytest.raises(ValueError, match="not a readable"):
-            self.run(ds, ckpt, resume=True)
-
-    def test_resume_without_checkpoint_path_refused(self):
-        ds = small_dataset(n=60)
+        before = ckpt.read_bytes()
         with pytest.raises(ValueError) as exc:
-            self.run(ds, None, resume=True)
-        assert str(exc.value) == "resume needs a checkpoint_path"
+            self.run(ds, ckpt)
+        assert str(exc.value).startswith(f"cannot resume: {ckpt} is not a readable chain checkpoint (")
+        assert str(exc.value).endswith("; delete it, or choose another output path, to start over")
+        assert ckpt.read_bytes() == before
 
 
 class TestStartingPath:
