@@ -219,7 +219,9 @@ def _load_checkpoint(path: Path, fingerprint: str) -> tuple[dict, dict[str, np.n
             arrays = {name: npz[name] for name in npz.files}
         state = json.loads(str(arrays.pop("state")))
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"cannot resume: {path} is not a readable chain checkpoint ({exc}); {start_over}") from exc
+        # numpy refuses pickled data with advice to unpickle it, which this program never does
+        reason = "it holds pickled data, which is never loaded" if "pickle" in str(exc) else exc
+        raise ValueError(f"cannot resume: {path} is not a readable chain checkpoint ({reason}); {start_over}") from exc
     if not isinstance(state, dict) or state.get("fingerprint") != fingerprint:
         raise ValueError(f"cannot resume: {path} was written for other data, settings or seed; {start_over}")
     return state, arrays

@@ -29,6 +29,20 @@ DEFAULT_LAMBDA = 0.193183327
 
 Kick = Callable[[np.ndarray, np.ndarray, float], None]
 
+# bytes in a cache line: on an AVX-512 Xeon (numpy 2.4), a 4000-long add
+# whose output starts off this boundary took 2.5-2.8 us, against 1.4 on it
+CACHE_LINE = 64
+
+
+def aligned_empty(n: int) -> np.ndarray:
+    """An uninitialised float64 array of length ``n`` whose data starts on a
+    cache-line boundary, sliced from a buffer of n + 8. numpy's own
+    allocations start at whatever multiple of 16 bytes the heap gives, so
+    the speed of a pass writing into one would depend on heap layout."""
+    buf = np.empty(n + CACHE_LINE // 8)
+    k = (-buf.ctypes.data % CACHE_LINE) // 8
+    return buf[k : k + n]
+
 
 # One step of each scheme, by name, as (drift, kick) stages in units of the
 # step size: drift h by drift * dt * p, then kick p by -kick * dt * dV/dh.
@@ -82,12 +96,16 @@ def integrate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the configured step n_steps times and return the final (h, p).
 
-    ``h`` and ``p`` are left unchanged. Each stage with a non-zero kick
-    calls ``kick(h, p, s)`` with s = kick * step_size, which must update p
-    in place and keep neither array.
+    ``h`` and ``p`` are left unchanged; the returned pair are fresh float64
+    arrays from :func:`aligned_empty`, as is the drift product, so the
+    trajectory's in-place updates write on cache-line boundaries. Each stage
+    with a non-zero kick calls ``kick(h, p, s)`` with s = kick * step_size,
+    which must update p in place and keep neither array.
     """
-    h, p = h.copy(), p.copy()
-    tmp = np.empty_like(h)
+    n = len(h)
+    h1, p1, tmp = aligned_empty(n), aligned_empty(n), aligned_empty(n)
+    h1[:], p1[:] = h, p
+    h, p = h1, p1
     # drifts are not merged across steps, so n steps equal n one-step calls
     stages = [(drift * cfg.step_size, kick * cfg.step_size) for drift, kick in cfg.stages]
     held = None  # the drift whose product with the current p is in tmp

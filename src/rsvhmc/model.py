@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .integrators import aligned_empty
+
 PARAM_NAMES = ("phi", "mu", "xi", "sigma_eta2", "sigma_u2")
 
 
@@ -187,7 +189,12 @@ class LatentTarget:
 
     Built once per theta, it holds the h-independent pieces, scaled once per
     kick coefficient, and scratch buffers reused from call to call; the
-    sampler passes it to every HMC update at that theta. Its methods do not
+    sampler passes it to every HMC update at that theta. The scaled s c and
+    ln(y^2/2) + ln s, the return term and the force are arrays from
+    :func:`~rsvhmc.integrators.aligned_empty`, so every pass of the kick but
+    ``np.correlate``'s writes from a cache-line boundary (``p`` too, as
+    ``integrate`` allocates it): a pass writing off one runs up to twice as
+    slow, by heap layout rather than by code. Its methods do not
     validate h: the caller passes a float64 path of the series length and
     checks the result for finiteness.
     """
@@ -209,7 +216,8 @@ class LatentTarget:
         # the band's interior diagonal exceeds A's at both ends by this much
         self.end_correction = self.phi**2 * self.inv_se2
         self._scaled: dict[float, tuple] = {}
-        self._ret = np.empty(data.n)
+        self._ret = aligned_empty(data.n)
+        self._force = aligned_empty(data.n)
 
     def potential_from(self, s: PathSums) -> float:
         """V of the path whose :func:`path_sums` are ``s``."""
@@ -229,9 +237,10 @@ class LatentTarget:
         """
         scaled = self._scaled.get(s)
         if scaled is None:
+            n = self.data.n
             scaled = self._scaled[s] = (
-                s * self.c, s * self.band, s * self.end_correction,
-                self.data.ln_half_y2 + math.log(s),
+                np.multiply(s, self.c, out=aligned_empty(n)), s * self.band, s * self.end_correction,
+                np.add(self.data.ln_half_y2, math.log(s), out=aligned_empty(n)),
             )
         c, band, end, ln_ret = scaled
         ret = np.subtract(ln_ret, h, out=self._ret)
@@ -240,8 +249,8 @@ class LatentTarget:
         a = np.correlate(h, band, "full")
         a[1] -= end * h[0]
         a[-2] -= end * h[-1]
-        f = a[1:-1]
-        f += c
+        # a[1:-1] starts 8 bytes past correlate's own buffer: sum into the aligned force
+        f = np.add(a[1:-1], c, out=self._force)
         f -= ret
         # one update of p: a reversed trajectory subtracts the same f
         p -= f

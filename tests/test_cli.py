@@ -340,11 +340,26 @@ class TestResume:
         self.refused(data, out)
         assert f"error: cannot resume: {ckpt} is not a readable chain checkpoint" in capsys.readouterr().err
 
-    def test_pickle_checkpoint_is_never_unpickled(self, aborted):
-        data, out = aborted
-        (out / "checkpoint.npz").write_bytes(pickle.dumps(_PickleTrap()))
+    def refused_as_pickled(self, data, out, capsys):
+        capsys.readouterr()
         self.refused(data, out)
         assert not SPRUNG
+        # no advice to unpickle a file the program refuses to unpickle
+        assert capsys.readouterr().err == (
+            f"error: cannot resume: {out / 'checkpoint.npz'} is not a readable chain checkpoint (it "
+            "holds pickled data, which is never loaded); delete it, or choose another output path, "
+            "to start over\n"
+        )
+
+    def test_pickle_checkpoint_is_never_unpickled(self, aborted, capsys):
+        data, out = aborted
+        (out / "checkpoint.npz").write_bytes(pickle.dumps(_PickleTrap()))
+        self.refused_as_pickled(data, out, capsys)
+
+    def test_object_array_in_checkpoint_is_never_unpickled(self, aborted, capsys):
+        data, out = aborted
+        np.savez(out / "checkpoint.npz", state=np.array([_PickleTrap()], dtype=object))
+        self.refused_as_pickled(data, out, capsys)
 
 
 class TestScan:

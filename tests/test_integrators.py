@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from rsvhmc.integrators import (
+    CACHE_LINE,
     DEFAULT_LAMBDA,
     SPLITTINGS,
     TrajectoryConfig,
+    aligned_empty,
     integrate,
 )
 from rsvhmc.hmc import hmc_update
@@ -220,6 +222,32 @@ class TestIntegrate:
         back_h, back_p = integrate(fwd_h, -fwd_p, cfg, kick)
         np.testing.assert_allclose(back_h, h, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(-back_p, p, rtol=1e-10, atol=1e-12)
+
+
+def assert_aligned(a, n):
+    assert a.dtype == np.float64 and a.shape == (n,)
+    assert a.flags.c_contiguous and a.flags.writeable
+    assert a.ctypes.data % CACHE_LINE == 0
+
+
+class TestAlignment:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4000, 4001])
+    def test_aligned_empty(self, n):
+        # numpy's own allocations land at varying offsets: many calls, all aligned
+        arrays = [aligned_empty(n) for _ in range(50)]
+        for a in arrays:
+            assert_aligned(a, n)
+            a[:] = 1.0  # every element is the array's own
+        assert all(a.sum() == n for a in arrays)
+
+    @pytest.mark.parametrize("scheme", list(SPLITTINGS), ids=scheme_id)
+    def test_integrate_returns_aligned_arrays(self, rng, scheme):
+        theta, h, data = random_instance(rng, 4000)
+        p = rng.normal(0.0, 1.0, 4000)
+        for n_steps in (1, 3):
+            h1, p1 = integrate(h, p, TrajectoryConfig(scheme, 0.02, n_steps), LatentTarget(theta, data).kick)
+            assert_aligned(h1, 4000)
+            assert_aligned(p1, 4000)
 
 
 class TestStructure:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from rsvhmc.integrators import SPLITTINGS
 from rsvhmc.model import (
     LatentTarget,
     ModelParams,
@@ -247,6 +248,27 @@ class TestKick:
                 # every site, both ends included
                 np.testing.assert_allclose(kicked, p - s * expected, rtol=0.0, atol=tol)
                 np.testing.assert_allclose(kicked, p - s * grad_potential(h, theta, data), rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("n", [2, 3, 4000])
+    def test_bit_for_bit_sequence(self, rng, n):
+        """The kick's roundings, in order: any change to them changes every chain."""
+        theta, h, data = random_instance(rng, n)
+        y = data.y.copy()
+        y[rng.integers(n)] = 0.0
+        data = ObservedSeries(y=y, ln_rv=data.ln_rv)
+        target = LatentTarget(theta, data)
+        # the kick coefficients of both schemes at the study's and the scan's step sizes
+        coefficients = [k * dt for dt in (0.222, 0.02) for stages in SPLITTINGS.values() for _, k in stages if k]
+        for s in coefficients + coefficients:  # each twice: once scaling, once from the cache
+            a = np.correlate(h, s * target.band, "full")
+            a[1] -= s * target.end_correction * h[0]
+            a[-2] -= s * target.end_correction * h[-1]
+            f = a[1:-1] + s * target.c
+            f = f - np.exp(data.ln_half_y2 + math.log(s) - h)
+            p = rng.normal(0.0, 1.0, n)
+            expected = p - f
+            target.kick(h, p, s)
+            np.testing.assert_array_equal(p, expected)
 
     def test_leaves_position_alone(self, rng):
         theta, h, data = random_instance(rng, 20)
