@@ -96,6 +96,11 @@ class _Config(argparse.Action):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def seed(text):  # an argparse type, named in a usage error: "invalid seed value"
+        if int(text) < 0:
+            raise ValueError(text)
+        return int(text)
+
     parser = _Parser(prog="rsvhmc")
     parser.add_argument("--config", type=Path, action=_Config, help="JSON file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -105,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=STUDY_N)
     for name in PARAM_NAMES:
         sim.add_argument(f"--{name.replace('_', '-')}", type=float, default=getattr(STUDY_PARAMS, name))
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=seed, default=0)
     sim.add_argument("--write-h", action="store_true", help="also write the true latent path")
 
     est = sub.add_parser("estimate", help="run the sampler on a series file")
@@ -116,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--total-length", type=float, default=2.0)
     est.add_argument("--n-burn", type=int, default=5000)
     est.add_argument("--n-keep", type=int, default=50000)
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--seed", type=seed, default=0)
     est.add_argument(
         "--record-h", type=_list_of(int), default="10",
         help="comma-separated 1-based h indices to record (default: 10)",
@@ -139,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm-up trajectories, run once before the first grid point at the "
         "smallest step size (after up to 100 at a fifth of it)",
     )
-    scan.add_argument("--seed", type=int, default=0)
+    scan.add_argument("--seed", type=seed, default=0)
     for name in PARAM_NAMES:
         scan.add_argument(f"--{name.replace('_', '-')}", type=float, help="fixed parameter for the scan (default: dataset metadata)")
 

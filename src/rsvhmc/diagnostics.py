@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .hmc import hmc_update
+# hmc_update is not called here; perfbench's WRAPPED looks it up in traced runs
+from .hmc import hmc_update, run_chain  # noqa: F401
 from .integrators import TrajectoryConfig
 from .model import ModelParams, ObservedSeries
 
@@ -177,8 +177,8 @@ def stepsize_scan(
     n_warm)`` pre-warm trajectories at a fifth of the grid's smallest step
     size, then ``n_warm`` at that step size, which accepts most. Each grid
     point, in the given order, then runs only its ``n_traj`` measured
-    trajectories; the latent path and its sums carry over between
-    trajectories and grid points.
+    trajectories. Each phase is a ``run_chain`` at fixed theta
+    (``prior=None``) that starts from the previous phase's final path.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -187,11 +187,9 @@ def stepsize_scan(
         raise ValueError("n_traj must be >= 1")
     if n_warm < 0:
         raise ValueError(f"n_warm must be >= 0, got {n_warm}")
-    h = model.as_path(data.ln_rv if h0 is None else h0, data)
+    h = data.ln_rv if h0 is None else h0
     rng = np.random.default_rng(seed)
     cfgs = [TrajectoryConfig.from_length(scheme, total_length, dt) for dt in grid]
-    target = model.LatentTarget(theta, data)
-    sums = model.path_sums(h, data)
     # warm at the smallest step (the first on a tie), which accepts most, so
     # an oversized step anywhere in the grid cannot stall the warm-up
     warm = min(cfgs, key=lambda c: c.step_size)
@@ -203,20 +201,17 @@ def stepsize_scan(
     rows = []
     warnings = []
     for k, (cfg, count) in enumerate(phases):
-        dh = np.empty(count)
-        acc = np.empty(count, dtype=bool)
-        for i in range(count):
-            out = hmc_update(h, sums, target, cfg, rng)
-            h, sums = out.h_new, out.sums
-            dh[i], acc[i] = out.delta_h, out.accepted
+        if count == 0:
+            continue
+        res = run_chain(data, (theta, h), cfg, 0, count, rng, prior=None, h_indices=())
+        h = res.final_h
         if k < 2:
             continue
-        p = float(np.mean(acc))
-        finite = dh[np.isfinite(dh)]
-        if len(finite) < len(dh):
+        p = res.acceptance_rate
+        finite = res.delta_h[np.isfinite(res.delta_h)]
+        if res.n_divergent:
             warnings.append(
-                f"step_size={cfg.step_size:.6g}: {len(dh) - len(finite)} of {n_traj} "
-                "trajectories diverged"
+                f"step_size={cfg.step_size:.6g}: {res.n_divergent} of {n_traj} trajectories diverged"
             )
         rows.append(
             ScanRow(
@@ -227,7 +222,7 @@ def stepsize_scan(
                 efficiency=p * cfg.step_size,
             )
         )
-        warn = _acceptance_trend_warning(acc, cfg.step_size)
+        warn = _acceptance_trend_warning(res.accepted, cfg.step_size)
         if warn:
             warnings.append(warn)
     optimum = max(rows, key=lambda r: r.efficiency)

@@ -99,21 +99,21 @@ def run_chain(
     n_burn: int,
     n_keep: int,
     rng: np.random.Generator,
-    prior: PriorConfig = PriorConfig(),
+    prior: PriorConfig | None = PriorConfig(),
     h_indices: Sequence[int] = (9,),
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = 5000,
 ) -> ChainResult:
     """Run the full sampler: one HMC path update plus one parameter sweep per iteration.
 
-    Records theta, delta_h, the accept flag and the selected h components for
-    every kept iteration, and counts the divergent trajectories of every
-    iteration. With ``checkpoint_path``, the state is saved there every
-    ``checkpoint_every`` iterations, and a run that finds that file continues
-    from it; a file unreadable or written for other data, settings or seed is refused and kept.
+    With ``prior=None`` theta stays fixed at ``init``'s and the target is built
+    once: no sweep runs, nor its n >= 2 check. Records theta, delta_h, the
+    accept flag and the selected h components for every kept iteration, and
+    counts the divergent trajectories of every iteration. With
+    ``checkpoint_path``, the state is saved there every ``checkpoint_every``
+    iterations, and a run that finds that file continues from it; a file
+    unreadable or written for other data, settings or seed is refused and kept.
     """
-    if data.n < 2:
-        raise ValueError(f"need a series of n >= 2 observations, got {data.n}")
     if n_burn < 0 or n_keep < 1:
         raise ValueError("need n_burn >= 0 and n_keep >= 1")
     if checkpoint_every < 1:
@@ -154,12 +154,14 @@ def run_chain(
     # the path carries its sums: they give V under each new theta and feed the sweep
     sums = model.path_sums(h, data)
     for it in range(start, total):
-        target = model.LatentTarget(theta, data)
+        if prior is not None or it == start:
+            target = model.LatentTarget(theta, data)
         outcome = hmc_update(h, sums, target, cfg, rng)
         h, sums = outcome.h_new, outcome.sums
         n_accept += int(outcome.accepted)
         n_divergent += outcome.delta_h == math.inf
-        theta = gibbs_sweep(sums, theta, prior, rng)
+        if prior is not None:
+            theta = gibbs_sweep(sums, theta, prior, rng)
         if it >= n_burn:
             k = it - n_burn
             # in PARAM_NAMES order; a tuple of attributes is the cheapest per-draw write

@@ -196,8 +196,13 @@ class TestEstimate:
             (20, ("--n-burn", "-1")),
             (20, ("--record-h", "99")),
             (1, ("--record-h", "1")),
+            # the first parameter sweep refuses it, before the first checkpoint
+            (1, ("--record-h", "1", "--checkpoint-every", "1")),
         ],
-        ids=["checkpoint_every_0", "n_keep_0", "n_burn_negative", "record_h_99", "one_row_series"],
+        ids=[
+            "checkpoint_every_0", "n_keep_0", "n_burn_negative", "record_h_99", "one_row_series",
+            "one_row_series_checkpoint_every_1",
+        ],
     )
     def test_refusal_leaves_no_out_dir(self, tmp_path, rows, flags):
         data = tmp_path / "data.csv"
@@ -769,6 +774,14 @@ class TestConfigFile:
         assert "argument --n: invalid int value: '2.5'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_negative_seed_checked_by_flag_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        out = tmp_path / "d.csv"
+        assert run("--config", cfg, "simulate", "--out", out) == 1
+        assert "argument --seed: invalid seed value: '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_switch_and_float_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 20, "phi": 0.1 + 0.2, "write_h": True}))
@@ -829,8 +842,20 @@ class TestUsageErrors:
                 ("estimate", "--data", "d.csv", "--out", "o", "--record-h", "10,x"),
                 "argument --record-h: invalid int list value: '10,x'",
             ),
+            (("simulate", "--out", "d.csv", "--seed", "-1"), "argument --seed: invalid seed value: '-1'"),
+            (
+                ("estimate", "--data", "d.csv", "--out", "o", "--seed", "-1"),
+                "argument --seed: invalid seed value: '-1'",
+            ),
+            (
+                ("scan", "--data", "d.csv", "--out", "s.csv", "--grid", "0.1", "--seed", "-1"),
+                "argument --seed: invalid seed value: '-1'",
+            ),
         ],
-        ids=["bad_value", "no_command", "no_out", "no_data", "unknown_flag", "bad_grid", "bad_record_h"],
+        ids=[
+            "bad_value", "no_command", "no_out", "no_data", "unknown_flag", "bad_grid", "bad_record_h",
+            "simulate_negative_seed", "estimate_negative_seed", "scan_negative_seed",
+        ],
     )
     def test_usage_error_returns_one(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)

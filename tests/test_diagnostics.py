@@ -14,6 +14,7 @@ from rsvhmc.diagnostics import (
     rms_dh,
     stepsize_scan,
 )
+from rsvhmc.model import ObservedSeries
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
 
@@ -251,6 +252,17 @@ class TestStepsizeScan:
         assert last.rms_dh == math.inf
         diverged = [w for w in result.warnings if "diverged" in w]
         assert diverged == ["step_size=0.666667: 60 of 60 trajectories diverged"]
+
+    def test_series_of_one(self):
+        # at fixed theta no sweep runs, so the scan needs no n >= 2; a lone
+        # site still has a prior and a measurement term to move against
+        one = ObservedSeries(y=np.array([0.3]), ln_rv=np.array([-1.0]))
+        result = stepsize_scan(one, STUDY_PARAMS, "2lfi", [0.5], n_traj=60, n_warm=10, seed=1)
+        assert result.rows == (result.optimum,)
+        assert (result.optimum.step_size, result.optimum.n_steps) == (0.5, 4)
+        assert result.optimum.acceptance == 0.9  # 54 of 60
+        assert 0.0 < result.optimum.rms_dh < math.inf
+        assert result.warnings == ()
 
     def test_empty_grid_rejected(self):
         ds = simulate(STUDY_PARAMS, 50, seed=14)

@@ -5,14 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-import rsvhmc.diagnostics
 import rsvhmc.hmc
 import rsvhmc.model
 from rsvhmc.diagnostics import stepsize_scan
 from rsvhmc.gibbs import PriorConfig, gibbs_sweep
 from rsvhmc.hmc import default_init, hmc_update, run_chain
 from rsvhmc.integrators import SPLITTINGS, TrajectoryConfig
-from rsvhmc.model import PARAM_NAMES, LatentTarget, path_sums
+from rsvhmc.model import PARAM_NAMES, LatentTarget, ObservedSeries, path_sums
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
 from conftest import hmc_update_recomputing, scheme_id
@@ -259,6 +258,19 @@ class TestRunChain:
                 h_indices=(9, 0, 9),
             )
 
+    def test_series_of_one_refused_before_any_checkpoint(self, tmp_path):
+        # the parameter sweep's own n >= 2 check refuses it on the first
+        # iteration, before the first checkpoint would be written
+        one = ObservedSeries(y=np.array([0.3]), ln_rv=np.array([-1.0]))
+        cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
+        ckpt = tmp_path / "c.npz"
+        with pytest.raises(ValueError, match="n >= 2"):
+            run_chain(
+                one, default_init(one), cfg, 0, 5, np.random.default_rng(0),
+                prior=PriorConfig(), h_indices=(0,), checkpoint_path=ckpt, checkpoint_every=1,
+            )
+        assert not list(tmp_path.iterdir())
+
     def test_checkpoint_every_below_one_rejected(self, tmp_path):
         ds = small_dataset(n=40)
         cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
@@ -461,12 +473,17 @@ class TestCarriedPotential:
             )
 
         carried = scan()
+        calls = []
 
         def recomputing(h, sums, target, cfg, rng):
+            calls.append((target.phi, target.mu, target.xi, cfg.scheme))
             return hmc_update_recomputing(h, ds.theta_true, ds.data, cfg, rng)
 
-        monkeypatch.setattr(rsvhmc.diagnostics, "hmc_update", recomputing)
+        monkeypatch.setattr(rsvhmc.hmc, "hmc_update", recomputing)
         assert scan() == carried
+        # once per trajectory: pre-warm, warm-up and both grid points
+        theta = ds.theta_true
+        assert calls == [(theta.phi, theta.mu, theta.xi, scheme)] * (min(100, 40) + 40 + 2 * 60)
         assert any(0.0 < row.acceptance < 1.0 for row in carried.rows)
 
 
@@ -487,7 +504,7 @@ class TestOperationCount:
     @pytest.mark.parametrize("n_warm", [30, 130])
     def test_stepsize_scan(self, monkeypatch, n_warm):
         ds = small_dataset(n=40)
-        updates = self.count(monkeypatch, rsvhmc.diagnostics, "hmc_update")
+        updates = self.count(monkeypatch, rsvhmc.hmc, "hmc_update")
         builds = self.count(monkeypatch, rsvhmc.model, "LatentTarget")
         grid, n_traj = [0.1, 0.2, 0.4], 20
         stepsize_scan(
@@ -495,18 +512,19 @@ class TestOperationCount:
             total_length=1.0, n_traj=n_traj, n_warm=n_warm, seed=4,
         )
         assert len(updates) == min(100, n_warm) + n_warm + len(grid) * n_traj
-        assert len(builds) == 1
+        # one per phase: pre-warm, warm-up and each grid point
+        assert len(builds) == 2 + len(grid)
 
     def test_stepsize_scan_warms_once_at_the_smallest_step(self, monkeypatch):
         ds = small_dataset(n=40)
         steps = []
-        original = rsvhmc.diagnostics.hmc_update
+        original = rsvhmc.hmc.hmc_update
 
         def recording(h, sums, target, cfg, rng):
             steps.append(cfg.step_size)
             return original(h, sums, target, cfg, rng)
 
-        monkeypatch.setattr(rsvhmc.diagnostics, "hmc_update", recording)
+        monkeypatch.setattr(rsvhmc.hmc, "hmc_update", recording)
         grid, n_traj, n_warm = [0.4, 0.2, 0.1], 20, 30
         # a length of 2 makes every grid step exact (5, 10 and 20 steps)
         stepsize_scan(
