@@ -216,6 +216,7 @@ def cmd_estimate(args) -> int:
         checkpoint_every=args.checkpoint_every,
     )
 
+    summary = posterior_summary(result.draws)
     header = [_RUN_COLUMNS[0], *result.draws, *_RUN_COLUMNS[1:]]
     n_rows = len(result.delta_h)
     rows = zip(
@@ -241,9 +242,10 @@ def cmd_estimate(args) -> int:
             "acceptance_rate": result.acceptance_rate,
             "n_divergent": result.n_divergent,
             "wall_time_seconds": result.wall_time_seconds,
+            **{f"s_per_ess.{s.name}": result.wall_time_seconds / s.act.ess for s in summary if s.act},
         },
     )
-    _write_summary(out_dir / "summary.csv", result.draws)
+    _write_summary(out_dir / "summary.csv", summary)
     ckpt.unlink(missing_ok=True)
     if result.n_divergent:
         total = args.n_burn + args.n_keep
@@ -255,14 +257,14 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _write_summary(path: Path, cols: dict[str, np.ndarray]):
+def _write_summary(path: Path, summary):
     rows = []
-    for s in posterior_summary(cols):
-        act = (s.act.two_tau_int, s.act.error, s.act.window) if s.act else ("", "", "")
+    for s in summary:
+        act = (s.act.two_tau_int, s.act.error, s.act.window, s.act.ess) if s.act else ("",) * 4
         rows.append((s.name, s.mean, s.sd, *act, s.note))
     chainio.write_table(
         path,
-        ["parameter", "mean", "sd", "two_tau_int", "act_error", "act_window", "note"],
+        ["parameter", "mean", "sd", "two_tau_int", "act_error", "act_window", "ess", "note"],
         rows,
     )
 
@@ -360,10 +362,9 @@ def cmd_rv_build(args) -> int:
         rejected = ()
 
     c = rvmod.hansen_lunde_c(series.y, series.rv)
-    rows = (
-        (series.dates[i], series.y[i], series.rv[i], c * series.rv[i], math.log(series.rv[i]))
-        for i in range(len(series.y))
-    )
+    # ln RV as read_series takes it of an rv column, so both routes give one chain
+    ln_rv = np.log(series.rv)
+    rows = zip(series.dates, *(a.tolist() for a in (series.y, series.rv, c * series.rv, ln_rv)))
     chainio.write_table(args.out, ["date", "y", "rv", "rv_adj", "ln_rv"], rows)
     chainio.write_metadata(
         args.out,
@@ -387,7 +388,7 @@ def cmd_diagnose(args) -> int:
     if not params:
         raise ValueError(f"{args.chain}: no parameter columns found")
     chainio.require_numeric(args.chain, cols, params)
-    _write_summary(args.out, {k: cols[k] for k in params})
+    _write_summary(args.out, posterior_summary({k: cols[k] for k in params}))
     print(f"wrote {args.out}")
     return 0
 

@@ -14,15 +14,12 @@ from .integrators import TrajectoryConfig
 from .model import ModelParams, ObservedSeries
 
 
-class DegenerateSeriesError(ValueError):
-    """Series has zero variance; autocorrelation is undefined."""
-
-
 @dataclass(frozen=True)
 class ActEstimate:
     two_tau_int: float
     error: float
     window: int
+    ess: float  # effective sample size n / two_tau_int
 
 
 @dataclass(frozen=True)
@@ -46,6 +43,7 @@ def acf(series, max_lag: int) -> np.ndarray:
     """Sample autocorrelation function at lags 0..max_lag.
 
     C(t) = (1/(N-t)) sum_i (x_i - xbar)(x_{i+t} - xbar), normalized by C(0).
+    A constant series, or one whose C(0) underflows, is a "degenerate column".
     """
     x = np.asarray(series, dtype=np.float64)
     n = len(x)
@@ -55,8 +53,9 @@ def acf(series, max_lag: int) -> np.ndarray:
         raise ValueError("series has non-finite values (nan or inf)")
     d = x - np.mean(x)
     c0 = float(np.mean(d * d))
-    if c0 <= 0.0:
-        raise DegenerateSeriesError("series has zero variance")
+    # constancy is read off the values: when a constant series' mean rounds, c0 > 0
+    if c0 <= 0.0 or x.min() == x.max():
+        raise ValueError("degenerate column")
     # every lag's sum_i d_i d_{i+t} at once from the power spectrum; zero-padding
     # to at least n + max_lag keeps the circular correlation from wrapping those
     # lags around
@@ -111,7 +110,7 @@ def integrated_act(series) -> ActEstimate:
         )
     window = 2 * k - 1
     err = estimate * math.sqrt(2.0 * (2 * window + 1) / n)
-    return ActEstimate(two_tau_int=estimate, error=err, window=window)
+    return ActEstimate(two_tau_int=estimate, error=err, window=window, ess=n / estimate)
 
 
 def rms_dh(dh_samples) -> float:
@@ -133,28 +132,24 @@ class ParamSummary:
 
 def posterior_summary(columns: dict[str, np.ndarray]) -> list[ParamSummary]:
     """Mean, standard deviation (n-1 denominator) and ACT per chain column; a
-    column whose ACT cannot be estimated gets a note instead."""
+    column whose ACT cannot be estimated gets the refusing check's message as a
+    note instead (mean and sd read nan for fewer than 2 values or nan/inf)."""
     out = []
     for name, col in columns.items():
         col = np.asarray(col, dtype=np.float64)
-        if len(col) < 2 or not np.isfinite(col).all():
+        act, mean, sd = None, math.nan, math.nan
+        try:
             # the sd of fewer than 2 values, and the moments of a series
             # holding nan or inf, are undefined (and warn)
             if len(col) < 2:
-                note = f"need at least 2 samples, got {len(col)}"
-            else:
-                note = "series has non-finite values (nan or inf)"
-            out.append(ParamSummary(name=name, mean=math.nan, sd=math.nan, act=None, note=note))
-            continue
-        mean = float(np.mean(col))
-        sd = float(np.std(col, ddof=1))
-        try:
-            act = integrated_act(col)
-            note = ""
-        except DegenerateSeriesError:
-            act, note = None, "degenerate column"
+                raise ValueError(f"need at least 2 samples, got {len(col)}")
+            if not np.isfinite(col).all():
+                raise ValueError("series has non-finite values (nan or inf)")
+            mean = float(np.mean(col))
+            sd = float(np.std(col, ddof=1))
+            act, note = integrated_act(col), ""
         except ValueError as exc:
-            act, note = None, str(exc)
+            note = str(exc)
         out.append(ParamSummary(name=name, mean=mean, sd=sd, act=act, note=note))
     return out
 

@@ -92,7 +92,7 @@ def hansen_lunde_c(y, rv) -> float:
     """Adjustment factor c = sum (y_t - ybar)^2 / sum RV_t.
 
     With this convention mean(c * RV) equals the n-denominator sample
-    variance of y exactly. Constant returns give c = 0, which is refused.
+    variance of y exactly. Constant returns are refused, since c would be 0.
     """
     y = np.asarray(y, dtype=np.float64)
     rv = np.asarray(rv, dtype=np.float64)
@@ -101,7 +101,8 @@ def hansen_lunde_c(y, rv) -> float:
     if np.any(rv <= 0.0):
         raise RvError("rv must be strictly positive")
     c = float(np.sum((y - np.mean(y)) ** 2)) / float(np.sum(rv))
-    if c <= 0.0:
+    # constancy is read off the values: when constant returns' mean rounds, c > 0
+    if c <= 0.0 or y.min() == y.max():
         raise RvError("daily returns have zero variance; c is degenerate")
     return c
 

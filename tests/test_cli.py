@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import math
 import os
@@ -52,6 +53,33 @@ class TestSimulate:
 
 
 class TestEstimate:
+    def test_ess_and_seconds_per_ess(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run("simulate", "--out", data, "--n", "60", "--seed", "8")
+        out = tmp_path / "run"
+        rc = run(
+            "estimate", "--data", data, "--out", out,
+            "--n-burn", "10", "--n-keep", "400", "--step-size", "0.3",
+            "--total-length", "1.0",
+        )
+        assert rc == 0
+        summary = chainio.read_table(out / "summary.csv")
+        rows = list(zip(summary["parameter"], summary["two_tau_int"], summary["ess"], summary["note"]))
+        ess = {name: float(e) for name, two_tau, e, _ in rows if two_tau}
+        assert 0 < len(ess) < len(rows)  # columns with and without an ACT
+        for name, two_tau, e, note in rows:
+            if two_tau:
+                assert float(e) == 400 / float(two_tau) and note == ""
+            else:
+                assert e == "" and note
+        meta = chainio.read_metadata(out / "chain.csv")
+        keys = list(meta)
+        after_wall = keys[keys.index("wall_time_seconds") + 1 :]
+        assert after_wall == [f"s_per_ess.{name}" for name in ess]
+        wall = float(meta["wall_time_seconds"])
+        for name, e in ess.items():
+            assert float(meta[f"s_per_ess.{name}"]) == wall / e
+
     def test_smoke_run_writes_all_files(self, tmp_path):
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "60", "--seed", "1")
@@ -307,6 +335,11 @@ class TestResume:
         meta = chainio.read_metadata(out / "chain.csv")
         whole = chainio.read_metadata(tmp_path / "whole" / "chain.csv")
         assert meta.pop("wall_time_seconds") and whole.pop("wall_time_seconds")
+        # s_per_ess.<column> is wall time over ESS: its keys must match, not its values
+        per_ess = [k for k in meta if k.startswith("s_per_ess.")]
+        assert per_ess and per_ess == [k for k in whole if k.startswith("s_per_ess.")]
+        for key in per_ess:
+            meta.pop(key), whole.pop(key)
         assert meta == whole
         assert not (out / "checkpoint.npz").exists()
 
@@ -638,15 +671,32 @@ class TestRvBuild:
         assert not out.exists()
 
     def test_constant_returns_refused(self, tmp_path, capsys):
+        start = dt.date(2024, 1, 2).toordinal()
+        for rows in (
+            [("2024-01-02", 0.01, 0.0002), ("2024-01-03", 0.01, 0.0003)],
+            # 100 days of y = 0.1: the mean rounds, so the squared deviations are not 0
+            [(dt.date.fromordinal(start + i), 0.1, 1e-4 * (1 + i % 3)) for i in range(100)],
+        ):
+            daily = tmp_path / "daily.csv"
+            chainio.write_table(daily, ["date", "y", "rv"], rows)
+            out = tmp_path / "series.csv"
+            assert run("rv-build", "--daily", daily, "--out", out) == 1
+            err = capsys.readouterr().err
+            assert err == "error: daily returns have zero variance; c is degenerate\n"
+            assert not out.exists()
+            assert not chainio.meta_path(out).exists()
+
+    def test_daily_ln_rv_matches_read_series(self, tmp_path):
+        # math.log and np.log can differ in the last bit (they do on these
+        # three RVs on an AVX-512 build of numpy 2.4); rv-build's ln_rv must be
+        # what read_series takes of the rv column, so both routes give one chain
+        rvs = [0.9941412033833111, 1.0931419129045312, 1.7268617873305903, 2e-4, 3e-4]
         daily = tmp_path / "daily.csv"
-        rows = [("2024-01-02", 0.01, 0.0002), ("2024-01-03", 0.01, 0.0003)]
+        rows = [(f"2024-01-0{i + 2}", 0.01 * (-1) ** i, v) for i, v in enumerate(rvs)]
         chainio.write_table(daily, ["date", "y", "rv"], rows)
         out = tmp_path / "series.csv"
-        assert run("rv-build", "--daily", daily, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert err == "error: daily returns have zero variance; c is degenerate\n"
-        assert not out.exists()
-        assert not chainio.meta_path(out).exists()
+        assert run("rv-build", "--daily", daily, "--out", out) == 0
+        np.testing.assert_array_equal(chainio.read_series(out).ln_rv, chainio.read_series(daily).ln_rv)
 
     def test_requires_exactly_one_input(self, tmp_path):
         assert run("rv-build", "--out", tmp_path / "o.csv") == 1

@@ -6,7 +6,6 @@ import pytest
 from scipy.signal import lfilter
 
 from rsvhmc.diagnostics import (
-    DegenerateSeriesError,
     _fft_length,
     acf,
     integrated_act,
@@ -60,6 +59,11 @@ def diagnose_columns(seed, n=50_000):
     return dict(zip(DIAGNOSE_TWO_TAUS, x.T))
 
 
+# constant columns whose mean rounds, so that their centred values and
+# variance are not 0: (value, length)
+CONSTANT_WITH_ROUNDED_MEAN = [(0.1, 2000), (1.1, 50_000), (123.456, 8000)]
+
+
 class TestAcf:
     @pytest.mark.parametrize("n", [2, 7, 64, 101, 257, 1000])
     def test_matches_definition_at_every_lag(self, n):
@@ -100,8 +104,16 @@ class TestAcf:
             assert rho[t] == pytest.approx(0.9**t, abs=0.01)
 
     def test_zero_variance_raises(self):
-        with pytest.raises(DegenerateSeriesError):
+        with pytest.raises(ValueError, match="degenerate column"):
             acf(np.ones(100), 5)
+        for c, n in CONSTANT_WITH_ROUNDED_MEAN:
+            with pytest.raises(ValueError, match="degenerate column"):
+                acf(np.full(n, c), n // 2)
+
+    def test_underflowing_variance_raises(self):
+        # not constant, but every centred square underflows to 0
+        with pytest.raises(ValueError, match="degenerate column"):
+            acf(np.tile([0.0, 1e-200], 50), 5)
 
     def test_bad_max_lag(self):
         with pytest.raises(ValueError):
@@ -296,6 +308,10 @@ class TestPosteriorSummary:
         assert summary.sd == 0.0
         assert summary.act is None
         assert summary.note == "degenerate column"
+        for c, n in CONSTANT_WITH_ROUNDED_MEAN:
+            (summary,) = posterior_summary({"c": np.full(n, c)})
+            assert summary.act is None
+            assert summary.note == "degenerate column"
 
     def test_non_finite_column_named(self):
         col = np.random.default_rng(17).normal(size=2000)
@@ -327,6 +343,10 @@ class TestPosteriorSummary:
     def test_short_column_gets_the_act_refusal_as_note(self):
         (summary,) = posterior_summary({"a": np.arange(50.0)})
         assert summary.mean == 24.5
+        assert summary.act is None
+        assert summary.note == "need at least 100 samples, got 50"
+        # a constant column too: integrated_act checks the length before acf
+        (summary,) = posterior_summary({"c": np.full(50, 0.1)})
         assert summary.act is None
         assert summary.note == "need at least 100 samples, got 50"
 

@@ -118,6 +118,10 @@ class TestHansenLunde:
         with pytest.raises(RvError) as exc:
             hansen_lunde_c([0.01, 0.01, 0.01], [1e-4, 2e-4, 3e-4])
         assert str(exc.value) == "daily returns have zero variance; c is degenerate"
+        # constant returns whose mean rounds, so their squared deviations are not 0
+        for y, n in [(0.1, 100), (-0.003, 4000)]:
+            with pytest.raises(RvError, match="^daily returns have zero variance; c is degenerate$"):
+                hansen_lunde_c(np.full(n, y), np.linspace(1e-4, 2e-4, n))
 
 
 class TestRvSeries:
