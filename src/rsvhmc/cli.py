@@ -17,7 +17,6 @@ given as one, or a path through a regular file), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import json
 import math
@@ -316,31 +315,29 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _parse_column(path: Path, cols: dict, name: str, parse) -> list:
+    """``parse`` of each cell of a ``chainio.read_columns`` column; a missing
+    column, or a cell ``parse`` refuses, is named by file, column and cell text."""
+    if name not in cols:
+        raise ValueError(f"{path}: missing column {name!r}")
+    try:
+        return [parse(cell := c) for c in cols[name]]
+    except (TypeError, ValueError) as exc:  # TypeError: a cell read as a number, say 20240102
+        raise ValueError(f"{path}: column {name!r}: {str(cell)!r}: {exc}") from None
+
+
 def _read_ticks(path: Path) -> list[rvmod.IntradayDay]:
-    by_day: dict[dt.date, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [c.strip().lower() for c in header[:2]] != ["timestamp", "price"]:
-            raise ValueError(f"{path}: expected header 'timestamp,price'")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                stamp = dt.datetime.fromisoformat(row[0])
-                price = float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad tick row {row!r}") from exc
-            if not 0.0 < price < math.inf:
-                raise ValueError(f"{path}:{lineno}: price must be finite and > 0")
-            seconds = (
-                stamp - dt.datetime.combine(stamp.date(), dt.time.min, stamp.tzinfo)
-            ).total_seconds()
-            by_day.setdefault(stamp.date(), []).append((seconds, math.log(price)))
-    days = []
-    for date, ticks in by_day.items():
-        ts = np.array([t for t, _ in ticks])
-        lp = np.array([p for _, p in ticks])
-        days.append(rvmod.IntradayDay(date=date, timestamps=ts, log_prices=lp))
-    return days
+    cols = chainio.read_columns(path)
+    stamps = _parse_column(path, cols, "timestamp", dt.datetime.fromisoformat)
+    chainio.require_numeric(path, cols, ("price",))
+    by_day: dict[dt.date, tuple[list[float], list[float]]] = {}
+    for stamp, price in zip(stamps, cols["price"].tolist()):
+        if not 0.0 < price < math.inf:
+            raise ValueError(f"{path}: price at {stamp} must be finite and > 0")
+        seconds, log_prices = by_day.setdefault(stamp.date(), ([], []))
+        seconds.append((stamp - stamp.replace(hour=0, minute=0, second=0, microsecond=0)).total_seconds())
+        log_prices.append(math.log(price))
+    return [rvmod.IntradayDay(date, *ticks) for date, ticks in by_day.items()]
 
 
 def cmd_rv_build(args) -> int:
@@ -351,14 +348,9 @@ def cmd_rv_build(args) -> int:
         series, rejected = report.series, report.rejected
     else:
         cols = chainio.read_columns(args.daily)
-        if "date" not in cols:
-            raise ValueError(f"{args.daily}: missing column 'date'")
+        dates = _parse_column(args.daily, cols, "date", dt.date.fromisoformat)
         chainio.require_numeric(args.daily, cols, ("y", "rv"))
-        try:
-            dates = tuple(dt.date.fromisoformat(d) for d in cols["date"])
-        except (TypeError, ValueError) as exc:  # TypeError: read as numbers, say 20240102
-            raise ValueError(f"{args.daily}: column 'date' needs YYYY-MM-DD dates: {exc}") from exc
-        series = rvmod.RvSeries(dates=dates, rv=cols["rv"], y=cols["y"])
+        series = rvmod.RvSeries(dates=tuple(dates), rv=cols["rv"], y=cols["y"])
         rejected = ()
 
     c = rvmod.hansen_lunde_c(series.y, series.rv)

@@ -169,10 +169,10 @@ def stepsize_scan(
 
     At fixed theta the target does not depend on the step size, so the
     chain is warmed once, before the first measured point: ``min(100,
-    n_warm)`` pre-warm trajectories at a fifth of the grid's smallest step
-    size, then ``n_warm`` at that step size, which accepts most. Each grid
-    point, in the given order, then runs only its ``n_traj`` measured
-    trajectories. Each phase is a ``run_chain`` at fixed theta
+    n_warm)`` pre-warm trajectories at the ``prewarm()`` config of the grid's
+    smallest step size (a fifth of it, with its step count), then ``n_warm``
+    at that step size, which accepts most. Each grid point, in the given
+    order, then runs only its ``n_traj`` measured trajectories. Each phase is a ``run_chain`` at fixed theta
     (``prior=None``) that starts from the previous phase's final path.
     """
     grid = [float(g) for g in grid]
@@ -188,11 +188,8 @@ def stepsize_scan(
     # warm at the smallest step (the first on a tie), which accepts most, so
     # an oversized step anywhere in the grid cannot stall the warm-up
     warm = min(cfgs, key=lambda c: c.step_size)
-    # short pre-warm at a fifth of the step size: a rough starting path can
-    # have uniformly large delta-H at the target step, stalling the warm-up
-    pre_cfg = TrajectoryConfig(scheme, warm.step_size / 5.0, warm.n_steps)
     # (config, trajectories) in the order run; the two warm-up phases come first
-    phases = [(pre_cfg, min(100, n_warm)), (warm, n_warm), *((cfg, n_traj) for cfg in cfgs)]
+    phases = [(warm.prewarm(), min(100, n_warm)), (warm, n_warm), *((cfg, n_traj) for cfg in cfgs)]
     rows = []
     warnings = []
     for k, (cfg, count) in enumerate(phases):

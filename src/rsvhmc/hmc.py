@@ -92,6 +92,10 @@ class ChainResult:
     wall_time_seconds: float  # summed over every resumed piece of the run
 
 
+# burn-in iterations at fixed theta and a fifth of the step before the first sweep
+_WARM_START = 20
+
+
 def run_chain(
     data: ObservedSeries,
     init: tuple[ModelParams, np.ndarray],
@@ -106,10 +110,17 @@ def run_chain(
 ) -> ChainResult:
     """Run the full sampler: one HMC path update plus one parameter sweep per iteration.
 
+    The first ``min(20, n_burn)`` iterations are a warm start: the HMC update
+    alone, at fixed theta and ``cfg.prewarm()``. Without it, a start whose
+    first trajectory is rejected hands the sweep zero measurement residuals
+    (``default_init`` sets h = ln RV); sigma_u2 then falls near 0 and puts
+    every later trajectory past the integrator's stability limit.
+
     With ``prior=None`` theta stays fixed at ``init``'s and the target is built
-    once: no sweep runs, nor its n >= 2 check. Records theta, delta_h, the
-    accept flag and the selected h components for every kept iteration, and
-    counts the divergent trajectories of every iteration. With
+    once: no warm start and no sweep run, nor the sweep's n >= 2 check.
+    Records theta, delta_h, the accept flag and the selected h components for
+    every kept iteration, and counts the divergent trajectories of every
+    iteration, the warm start's included. With
     ``checkpoint_path``, the state is saved there every ``checkpoint_every``
     iterations, and a run that finds that file continues from it; a file
     unreadable or written for other data, settings or seed is refused and kept.
@@ -118,6 +129,8 @@ def run_chain(
         raise ValueError("need n_burn >= 0 and n_keep >= 1")
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    if prior is not None and data.n < 2:  # before the warm start writes a checkpoint
+        raise ValueError(f"the parameter sweep needs n >= 2, got {data.n}")
     theta, h = init
     h = model.as_path(h, data)
     h_indices = tuple(int(i) for i in h_indices)
@@ -153,14 +166,17 @@ def run_chain(
     total = n_burn + n_keep
     # the path carries its sums: they give V under each new theta and feed the sweep
     sums = model.path_sums(h, data)
+    # the warm start goes by iteration, so a resumed run replays it
+    n_warm = 0 if prior is None else min(_WARM_START, n_burn)
+    warm_cfg = cfg.prewarm()
     for it in range(start, total):
         if prior is not None or it == start:
             target = model.LatentTarget(theta, data)
-        outcome = hmc_update(h, sums, target, cfg, rng)
+        outcome = hmc_update(h, sums, target, warm_cfg if it < n_warm else cfg, rng)
         h, sums = outcome.h_new, outcome.sums
         n_accept += int(outcome.accepted)
         n_divergent += outcome.delta_h == math.inf
-        if prior is not None:
+        if prior is not None and it >= n_warm:
             theta = gibbs_sweep(sums, theta, prior, rng)
         if it >= n_burn:
             k = it - n_burn

@@ -82,6 +82,12 @@ class TrajectoryConfig:
     def force_evals_per_step(self) -> int:
         return sum(1 for _, kick in self.stages if kick)
 
+    def prewarm(self) -> "TrajectoryConfig":
+        """A fifth of the step size at the same step count. A rough starting
+        path can have uniformly large delta-H at the full step; this short
+        trajectory accepts most, so the path can leave that start."""
+        return TrajectoryConfig(self.scheme, self.step_size / 5.0, self.n_steps)
+
     @classmethod
     def from_length(cls, scheme: str, total_length: float, step_size: float) -> "TrajectoryConfig":
         """Fix the total length exactly: n_steps = round(l / dt), dt = l / n_steps."""

@@ -54,6 +54,10 @@ class RvSeries:
         y = np.asarray(self.y, dtype=np.float64)
         if not (len(self.dates) == len(rv) == len(y)):
             raise RvError("dates, rv and y must be aligned")
+        for name, arr in (("y", y), ("rv", rv)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if len(bad):
+                raise RvError(f"{name} must be finite, got {arr[bad[0]]} on {self.dates[bad[0]]}")
         for prev, date in zip(self.dates, self.dates[1:]):
             if date <= prev:
                 raise RvError(f"dates must be strictly increasing: {date} follows {prev}")

@@ -1,3 +1,4 @@
+import ast
 import datetime as dt
 import json
 import math
@@ -57,10 +58,12 @@ class TestEstimate:
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "60", "--seed", "8")
         out = tmp_path / "run"
+        # dt 5 is far past the integrator's stability limit: every trajectory
+        # diverges, so h_10 never moves and has no ACT, while theta's columns do
         rc = run(
             "estimate", "--data", data, "--out", out,
-            "--n-burn", "10", "--n-keep", "400", "--step-size", "0.3",
-            "--total-length", "1.0",
+            "--n-burn", "10", "--n-keep", "400", "--step-size", "5",
+            "--total-length", "10",
         )
         assert rc == 0
         summary = chainio.read_table(out / "summary.csv")
@@ -118,15 +121,23 @@ class TestEstimate:
         assert rc == 1
         assert not (out / "chain.csv").exists()
 
-    # criterion 9's settings: under 2lfi the trajectories diverge and h never moves
-    @pytest.mark.parametrize("scheme,diverged", [("2lfi", True), ("2mni", False)])
-    def test_divergences_counted_and_warned(self, tmp_path, capsys, scheme, diverged):
+    # criterion 9's data. 2LFI at dt 1 is past its stability limit (the AR(1)
+    # prior's stiffest mode has omega dt ~ 6 > 2): all but a few trajectories
+    # after the warm start diverge. 2MNI at dt 0.25 stays inside its limit.
+    @pytest.mark.parametrize(
+        "scheme,step_size,diverged",
+        [
+            pytest.param("2lfi", "1.0", True, id="2lfi-True"),
+            pytest.param("2mni", "0.25", False, id="2mni-False"),
+        ],
+    )
+    def test_divergences_counted_and_warned(self, tmp_path, capsys, scheme, step_size, diverged):
         data = tmp_path / "data.csv"
         run("simulate", "--out", data, "--n", "300", "--seed", "91")
         out = tmp_path / "run"
         rc = run(
             "estimate", "--data", data, "--out", out, "--scheme", scheme,
-            "--step-size", "0.25", "--total-length", "2.0",
+            "--step-size", step_size, "--total-length", "2.0",
             "--n-burn", "200", "--n-keep", "2000", "--seed", "92",
         )
         assert rc == 0
@@ -224,12 +235,14 @@ class TestEstimate:
             (20, ("--n-burn", "-1")),
             (20, ("--record-h", "99")),
             (1, ("--record-h", "1")),
-            # the first parameter sweep refuses it, before the first checkpoint
+            # refused for the parameter sweep before the first checkpoint, the
+            # warm start's included
             (1, ("--record-h", "1", "--checkpoint-every", "1")),
+            (1, ("--record-h", "1", "--n-burn", "5", "--checkpoint-every", "1")),
         ],
         ids=[
             "checkpoint_every_0", "n_keep_0", "n_burn_negative", "record_h_99", "one_row_series",
-            "one_row_series_checkpoint_every_1",
+            "one_row_series_checkpoint_every_1", "one_row_series_warm_start",
         ],
     )
     def test_refusal_leaves_no_out_dir(self, tmp_path, rows, flags):
@@ -603,18 +616,43 @@ class TestRvBuild:
         out = tmp_path / "series.csv"
         assert run("rv-build", "--ticks", ticks, "--out", out) == 1
         assert not out.exists()
-        assert "expected header 'timestamp,price'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {ticks}: empty file, no header\n"
 
     @pytest.mark.parametrize("price", ["nan", "inf"])
-    def test_non_finite_price_refused_at_its_line(self, tmp_path, capsys, price):
+    def test_non_finite_price_refused_at_its_timestamp(self, tmp_path, capsys, price):
         ticks = tmp_path / "ticks.csv"
         self._tick_file(ticks)
         lines = ticks.read_text().splitlines()
+        assert lines[400].startswith("2024-01-03T10:39:00,")
         lines[400] = lines[400].split(",")[0] + f",{price}"
         ticks.write_text("\n".join(lines) + "\n")
         out = tmp_path / "series.csv"
         assert run("rv-build", "--ticks", ticks, "--out", out) == 1
-        assert f"error: {ticks}:401: price must be finite and > 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {ticks}: price at 2024-01-03 10:39:00 must be finite and > 0\n"
+        assert not out.exists()
+        assert not chainio.meta_path(out).exists()
+
+    def test_blank_tick_lines_skipped(self, tmp_path):
+        ticks, spaced = tmp_path / "ticks.csv", tmp_path / "spaced.csv"
+        self._tick_file(ticks)
+        lines = ticks.read_text().splitlines()
+        spaced.write_text("\n".join([*lines[:150], "", *lines[150:], ""]) + "\n")
+        out, out_spaced = tmp_path / "series.csv", tmp_path / "series_spaced.csv"
+        assert run("rv-build", "--ticks", ticks, "--out", out) == 0
+        assert run("rv-build", "--ticks", spaced, "--out", out_spaced) == 0
+        assert out_spaced.read_bytes() == out.read_bytes()
+        assert chainio.meta_path(out_spaced).read_bytes() == chainio.meta_path(out).read_bytes()
+
+    def test_tick_row_with_extra_cell_refused_at_its_line(self, tmp_path, capsys):
+        ticks = tmp_path / "ticks.csv"
+        self._tick_file(ticks)
+        lines = ticks.read_text().splitlines()
+        lines[400] += ",7"
+        ticks.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--ticks", ticks, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {ticks}:401: 3 cells for 2 columns\n"
         assert not out.exists()
         assert not chainio.meta_path(out).exists()
 
@@ -650,7 +688,7 @@ class TestRvBuild:
         assert len(cols["rv"]) == 2
         assert chainio.read_metadata(out)["n_rejected"] == "1"
 
-    def test_bad_tick_row_refused_at_its_line(self, tmp_path, capsys):
+    def test_bad_timestamp_refused_with_its_cell(self, tmp_path, capsys):
         ticks = tmp_path / "ticks.csv"
         self._tick_file(ticks)
         lines = ticks.read_text().splitlines()
@@ -659,8 +697,25 @@ class TestRvBuild:
         out = tmp_path / "series.csv"
         assert run("rv-build", "--ticks", ticks, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {ticks}:401: bad tick row ['2024-01-03T13:99:00', '100.0']\n"
+        # the reason after the cell is Python's own
+        assert err.startswith(f"error: {ticks}: column 'timestamp': '2024-01-03T13:99:00': ")
         assert not out.exists()
+        assert not chainio.meta_path(out).exists()
+
+    @pytest.mark.parametrize("column,value", [("y", "nan"), ("rv", "inf")])
+    def test_daily_non_finite_value_refused(self, tmp_path, capsys, column, value):
+        daily = tmp_path / "daily.csv"
+        cells = {"y": ["0.01", "-0.02", "0.005"], "rv": ["0.0002", "0.0003", "0.0001"]}
+        cells[column][1] = value
+        dates = ("2024-01-02", "2024-01-03", "2024-01-04")
+        lines = ["date,y,rv"] + [",".join(row) for row in zip(dates, cells["y"], cells["rv"])]
+        daily.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--daily", daily, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {column} must be finite, got {value} on 2024-01-03\n"
+        assert not out.exists()
+        assert not chainio.meta_path(out).exists()
 
     def test_daily_without_date_refused(self, tmp_path, capsys):
         daily = tmp_path / "daily.csv"
@@ -1029,6 +1084,22 @@ class TestEntryPoint:
         proc = self.python(tmp_path, "-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "\n"
+
+    def test_only_chainio_imports_csv(self):
+        # every table is read and written by chainio, so its rules (the header,
+        # blank lines skipped, a ragged row refused at its line) hold for all
+        importers = []
+        for path in sorted(Path(rsvhmc.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "csv" for name in names):
+                    importers.append(path.name)
+        assert importers == ["chainio.py"]
 
 
 class TestReadme:

@@ -259,8 +259,8 @@ class TestRunChain:
             )
 
     def test_series_of_one_refused_before_any_checkpoint(self, tmp_path):
-        # the parameter sweep's own n >= 2 check refuses it on the first
-        # iteration, before the first checkpoint would be written
+        # run_chain refuses it for the parameter sweep before the first
+        # checkpoint, which the warm start would otherwise write
         one = ObservedSeries(y=np.array([0.3]), ln_rv=np.array([-1.0]))
         cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
         ckpt = tmp_path / "c.npz"
@@ -281,30 +281,74 @@ class TestRunChain:
             )
 
 
+class TestWarmStart:
+    """The first min(20, n_burn) iterations move h alone, at fixed theta and a
+    fifth of the step, so a start whose first update is rejected is left."""
+
+    def test_rejected_first_update_does_not_freeze_the_chain(self):
+        # without the warm start: acceptance 0, nearly every trajectory
+        # diverged, and sigma_u2 sank to 1.7e-4 (truth 0.2); the fixed-theta
+        # scan accepts 0.93 at this step size
+        ds = simulate(STUDY_PARAMS, 300, seed=91)
+        cfg = TrajectoryConfig.from_length("2lfi", 2.0, 0.044)
+        res = run_chain(ds.data, default_init(ds.data), cfg, 100, 300, np.random.default_rng(1))
+        assert res.acceptance_rate >= 0.8
+        assert res.n_divergent == 0
+        assert 0.1 <= float(np.mean(res.draws["sigma_u2"])) <= 0.3
+
+    @pytest.mark.parametrize(
+        "n_burn,prior",
+        [(0, PriorConfig()), (7, PriorConfig()), (20, PriorConfig()), (50, PriorConfig()), (30, None)],
+        ids=["0", "7", "20", "50", "fixed_theta"],
+    )
+    def test_warm_start_runs_no_sweep_at_a_fifth_of_the_step(self, monkeypatch, n_burn, prior):
+        ds = small_dataset(n=60)
+        cfg = TrajectoryConfig.from_length("2mni", 1.0, 0.2)
+        steps, sweeps = [], []
+        update, sweep = rsvhmc.hmc.hmc_update, rsvhmc.hmc.gibbs_sweep
+
+        def recording_update(h, sums, target, cfg, rng):
+            steps.append(cfg.step_size)
+            return update(h, sums, target, cfg, rng)
+
+        def counting_sweep(*args):
+            sweeps.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(rsvhmc.hmc, "hmc_update", recording_update)
+        monkeypatch.setattr(rsvhmc.hmc, "gibbs_sweep", counting_sweep)
+        run_chain(ds.data, default_init(ds.data), cfg, n_burn, 30, np.random.default_rng(0), prior=prior)
+        # at fixed theta there is neither a warm start nor a sweep
+        n_warm = 0 if prior is None else min(20, n_burn)
+        assert steps == [cfg.step_size / 5.0] * n_warm + [cfg.step_size] * (n_burn + 30 - n_warm)
+        assert len(sweeps) == (0 if prior is None else n_burn + 30 - n_warm)
+
+
 class TestResume:
     """A run aborted after a checkpoint and rerun unchanged equals an uninterrupted run."""
 
     N_BURN, N_KEEP, EVERY = 30, 100, 20  # checkpoints after 20, 40, ..., 120 of 130
 
-    def run(self, ds, ckpt, rng_seed=5, step_size=0.2):
-        cfg = TrajectoryConfig.from_length("2mni", 1.0, step_size)
+    def run(self, ds, ckpt, rng_seed=5, step_size=0.2, length=1.0, every=EVERY):
+        cfg = TrajectoryConfig.from_length("2mni", length, step_size)
         return run_chain(
             ds.data, default_init(ds.data), cfg, self.N_BURN, self.N_KEEP,
             np.random.default_rng(rng_seed), h_indices=(0, 9),
-            checkpoint_path=ckpt, checkpoint_every=self.EVERY,
+            checkpoint_path=ckpt, checkpoint_every=every,
         )
 
     def abort_at(self, monkeypatch, iteration):
-        """Make the parameter sweep of ``iteration`` (0-based) raise."""
-        sweep, calls = rsvhmc.hmc.gibbs_sweep, []
+        """Make the HMC update of ``iteration`` (0-based) raise; every
+        iteration has one, the warm start's included."""
+        update, calls = rsvhmc.hmc.hmc_update, []
 
         def aborting(*args, **kwargs):
             calls.append(1)
             if len(calls) == iteration + 1:
                 raise KeyboardInterrupt
-            return sweep(*args, **kwargs)
+            return update(*args, **kwargs)
 
-        monkeypatch.setattr(rsvhmc.hmc, "gibbs_sweep", aborting)
+        monkeypatch.setattr(rsvhmc.hmc, "hmc_update", aborting)
 
     # in burn-in, mid-keep, right after a checkpoint boundary, after the last checkpoint
     @pytest.mark.parametrize("abort", [25, 70, 80, 125])
@@ -335,17 +379,37 @@ class TestResume:
         assert resumed.final_theta == unbroken.final_theta
         assert stored <= resumed.wall_time_seconds <= stored + piece
 
-    def test_resumed_run_counts_earlier_divergences(self, tmp_path, monkeypatch):
-        # at this step size all but the first trajectory diverge
+    def test_run_resumed_in_warm_start_matches_uninterrupted(self, tmp_path, monkeypatch):
+        # checkpoints after 7 and 14 of the warm start's 20 iterations; the
+        # resumed run replays its last 6 from the iteration count alone
         ds = small_dataset(n=60)
-        unbroken = self.run(ds, None, step_size=0.5)
-        assert unbroken.n_divergent == self.N_BURN + self.N_KEEP - 1
+        unbroken = self.run(ds, None)
+        ckpt = tmp_path / "chain.npz"
+        with monkeypatch.context() as m:
+            self.abort_at(m, 17)
+            with pytest.raises(KeyboardInterrupt):
+                self.run(ds, ckpt, every=7)
+        with np.load(ckpt, allow_pickle=False) as npz:
+            assert '"iteration": 14' in str(npz["state"])
+        resumed = self.run(ds, ckpt, every=7)
+        for name in unbroken.draws:
+            np.testing.assert_array_equal(resumed.draws[name], unbroken.draws[name])
+        np.testing.assert_array_equal(resumed.delta_h, unbroken.delta_h)
+        np.testing.assert_array_equal(resumed.final_h, unbroken.final_h)
+        assert resumed.final_theta == unbroken.final_theta
+
+    def test_resumed_run_counts_earlier_divergences(self, tmp_path, monkeypatch):
+        # dt 5 is far past the integrator's stability limit, and so is the warm
+        # start's dt 1: every trajectory diverges
+        ds = small_dataset(n=60)
+        unbroken = self.run(ds, None, step_size=5.0, length=10.0)
+        assert unbroken.n_divergent == self.N_BURN + self.N_KEEP
         ckpt = tmp_path / "chain.npz"
         with monkeypatch.context() as m:
             self.abort_at(m, 70)
             with pytest.raises(KeyboardInterrupt):
-                self.run(ds, ckpt, step_size=0.5)
-        resumed = self.run(ds, ckpt, step_size=0.5)
+                self.run(ds, ckpt, step_size=5.0, length=10.0)
+        resumed = self.run(ds, ckpt, step_size=5.0, length=10.0)
         assert resumed.n_divergent == unbroken.n_divergent
         np.testing.assert_array_equal(resumed.delta_h, unbroken.delta_h)
 

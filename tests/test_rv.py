@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -137,8 +138,11 @@ class TestRvSeries:
             ([1e-4, 2e-4], [0.01], "dates, rv and y must be aligned"),
             ([1e-4, 0.0], [0.01, -0.01], "rv must be strictly positive for retained days"),
             ([-1e-4, 2e-4], [0.01, -0.01], "rv must be strictly positive for retained days"),
+            ([1e-4, 2e-4], [0.01, math.nan], f"y must be finite, got nan on {D2}"),
+            ([1e-4, math.inf], [0.01, -0.01], f"rv must be finite, got inf on {D2}"),
+            ([math.nan, 2e-4], [0.01, -0.01], f"rv must be finite, got nan on {D1}"),
         ],
-        ids=["short_rv", "short_y", "zero_rv", "negative_rv"],
+        ids=["short_rv", "short_y", "zero_rv", "negative_rv", "nan_y", "inf_rv", "nan_rv"],
     )
     def test_series_refused(self, rv, y, message):
         with pytest.raises(RvError) as exc:
