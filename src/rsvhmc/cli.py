@@ -326,29 +326,40 @@ def _parse_column(path: Path, cols: dict, name: str, parse) -> list:
         raise ValueError(f"{path}: column {name!r}: {str(cell)!r}: {exc}") from None
 
 
+def _iso_date(cell) -> dt.date:
+    """A date written ``YYYY-MM-DD``; ``date.fromisoformat`` alone also takes ``20240102``."""
+    text = str(cell)
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError("date must be written YYYY-MM-DD")
+    return dt.date.fromisoformat(text)
+
+
 def _read_ticks(path: Path) -> list[rvmod.IntradayDay]:
+    """The tick file's days in file order. A day is a run of consecutive ticks of
+    one date, so a date that comes back after another is a second day of that date."""
     cols = chainio.read_columns(path)
     stamps = _parse_column(path, cols, "timestamp", dt.datetime.fromisoformat)
     chainio.require_numeric(path, cols, ("price",))
-    by_day: dict[dt.date, tuple[list[float], list[float]]] = {}
+    days: list[tuple[dt.date, list[float], list[float]]] = []
     for stamp, price in zip(stamps, cols["price"].tolist()):
         if not 0.0 < price < math.inf:
             raise ValueError(f"{path}: price at {stamp} must be finite and > 0")
-        seconds, log_prices = by_day.setdefault(stamp.date(), ([], []))
+        if not days or days[-1][0] != stamp.date():
+            days.append((stamp.date(), [], []))
+        _, seconds, log_prices = days[-1]
         seconds.append((stamp - stamp.replace(hour=0, minute=0, second=0, microsecond=0)).total_seconds())
         log_prices.append(math.log(price))
-    return [rvmod.IntradayDay(date, *ticks) for date, ticks in by_day.items()]
+    return [rvmod.IntradayDay(*day) for day in days]
 
 
 def cmd_rv_build(args) -> int:
     if (args.ticks is None) == (args.daily is None):
         raise ValueError("give exactly one of --ticks or --daily")
     if args.ticks is not None:
-        report = rvmod.build_series(_read_ticks(args.ticks), args.grid_seconds)
-        series, rejected = report.series, report.rejected
+        series, rejected = rvmod.build_series(_read_ticks(args.ticks), args.grid_seconds)
     else:
         cols = chainio.read_columns(args.daily)
-        dates = _parse_column(args.daily, cols, "date", dt.date.fromisoformat)
+        dates = _parse_column(args.daily, cols, "date", _iso_date)
         chainio.require_numeric(args.daily, cols, ("y", "rv"))
         series = rvmod.RvSeries(dates=tuple(dates), rv=cols["rv"], y=cols["y"])
         rejected = ()
@@ -368,8 +379,8 @@ def cmd_rv_build(args) -> int:
             "n_rejected": len(rejected),
         },
     )
-    for rej in rejected:
-        print(f"rejected {rej.date}: {rej.reason}", file=sys.stderr)
+    for date, reason in rejected:
+        print(f"rejected {date}: {reason}", file=sys.stderr)
     print(f"wrote {args.out} ({len(series.y)} days, c={c:.4f}, -log(c)={-math.log(c):.4f})")
     return 0
 

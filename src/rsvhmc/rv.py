@@ -67,18 +67,6 @@ class RvSeries:
         object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class RejectedDay:
-    date: dt.date
-    reason: str
-
-
-@dataclass(frozen=True)
-class BuildReport:
-    series: RvSeries
-    rejected: tuple[RejectedDay, ...]
-
-
 def _grid_sample(day: IntradayDay, grid_seconds: int) -> tuple[np.ndarray, np.ndarray]:
     """Previous-tick log prices on a regular grid anchored at the session
     open, and the grid itself."""
@@ -111,13 +99,14 @@ def hansen_lunde_c(y, rv) -> float:
     return c
 
 
-def build_series(days, grid_seconds: int) -> BuildReport:
-    """Assemble aligned (date, y, RV) series from per-day tick data.
+def build_series(days, grid_seconds: int) -> tuple[RvSeries, tuple[tuple[dt.date, str], ...]]:
+    """``(series, rejected)``: the aligned (date, y, RV) series of per-day
+    tick data, and a ``(date, reason)`` pair for each day dropped.
 
     Days whose timestamps are not strictly increasing, or with fewer than 2
     grid points, grid coverage below ``COVERAGE_THRESHOLD`` or zero RV are
-    dropped and reported; duplicate dates and a grid spacing below one
-    second are errors.
+    dropped; a date given twice and a grid spacing below one second are
+    errors.
     """
     if grid_seconds < 1:
         raise RvError("grid_seconds must be >= 1")
@@ -133,21 +122,20 @@ def build_series(days, grid_seconds: int) -> BuildReport:
         try:
             prices, grid = _grid_sample(day, grid_seconds)
         except RvError as exc:
-            rejected.append(RejectedDay(day.date, str(exc)))
+            rejected.append((day.date, str(exc)))
             continue
         # the fraction of grid intervals holding at least one tick
         cov = float(np.mean(np.histogram(day.timestamps, bins=grid)[0] > 0))
         if cov < COVERAGE_THRESHOLD:
-            rejected.append(RejectedDay(day.date, f"grid coverage {cov:.2f} below threshold"))
+            rejected.append((day.date, f"grid coverage {cov:.2f} below threshold"))
             continue
         rv = float(np.sum(np.diff(prices) ** 2))
         if rv <= 0.0:
-            rejected.append(RejectedDay(day.date, "zero realized variance"))
+            rejected.append((day.date, "zero realized variance"))
             continue
         dates.append(day.date)
         rvs.append(rv)
         ys.append(float(day.log_prices[-1] - day.log_prices[0]))  # open to close
     if not dates:
-        raise RvError("all days rejected: " + "; ".join(f"{r.date}: {r.reason}" for r in rejected))
-    series = RvSeries(dates=tuple(dates), rv=np.array(rvs), y=np.array(ys))
-    return BuildReport(series=series, rejected=tuple(rejected))
+        raise RvError("all days rejected: " + "; ".join(f"{date}: {reason}" for date, reason in rejected))
+    return RvSeries(dates=tuple(dates), rv=np.array(rvs), y=np.array(ys)), tuple(rejected)

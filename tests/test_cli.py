@@ -601,6 +601,19 @@ class TestRvBuild:
         assert not out.exists()
         assert f"column {column!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["20240103", "20240103.0"])
+    def test_daily_date_not_written_yyyy_mm_dd_refused(self, tmp_path, capsys, cell):
+        daily = tmp_path / "daily.csv"
+        dates = ("2024-01-02", cell, "2024-01-04")
+        rows = zip(dates, (0.01, -0.02, 0.005), (0.0002, 0.0003, 0.0001))
+        chainio.write_table(daily, ["date", "y", "rv"], rows)
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--daily", daily, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {daily}: column 'date': {cell!r}: date must be written YYYY-MM-DD\n"
+        assert not out.exists()
+        assert not chainio.meta_path(out).exists()
+
     def test_daily_numeric_date_refused(self, tmp_path, capsys):
         daily = tmp_path / "daily.csv"
         rows = [(20240102, 0.01, 0.0002), (20240103, -0.02, 0.0003)]
@@ -653,6 +666,26 @@ class TestRvBuild:
         out = tmp_path / "series.csv"
         assert run("rv-build", "--ticks", ticks, "--out", out) == 1
         assert capsys.readouterr().err == f"error: {ticks}:401: 3 cells for 2 columns\n"
+        assert not out.exists()
+        assert not chainio.meta_path(out).exists()
+
+    def test_date_that_comes_back_after_another_refused(self, tmp_path, capsys):
+        # 2024-01-02's morning, two whole days, then 2024-01-02's afternoon
+        rows = ["timestamp,price"]
+        for day, slope, start, end in [
+            ("2024-01-02", 0.0001, 9 * 60, 12 * 60),
+            ("2024-01-03", -0.0002, 9 * 60, 16 * 60),
+            ("2024-01-04", 0.0003, 9 * 60, 16 * 60),
+            ("2024-01-02", 0.0001, 12 * 60, 16 * 60),
+        ]:
+            for minute in range(start, end, 5):
+                price = 100.0 * math.exp(slope * minute)
+                rows.append(f"{day}T{minute // 60:02d}:{minute % 60:02d}:00,{price!r}")
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "series.csv"
+        assert run("rv-build", "--ticks", ticks, "--out", out, "--grid-seconds", "300") == 1
+        assert capsys.readouterr().err == "error: duplicate date 2024-01-02\n"
         assert not out.exists()
         assert not chainio.meta_path(out).exists()
 

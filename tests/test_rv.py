@@ -27,15 +27,16 @@ D3 = dt.date(2024, 1, 4)
 
 def rv_of(day):
     """The day's RV at a 60 s grid, as ``build_series`` keeps it."""
-    return build_series([day], 60).series.rv[0]
+    return build_series([day], 60)[0].rv[0]
 
 
 def rejection_of(day):
     """Why ``build_series`` drops the day at a 60 s grid, next to a day it keeps."""
-    report = build_series([make_day(D3, [0, 60], [0.0, 0.01]), day], 60)
-    assert report.series.dates == (D3,)
-    (rejected,) = report.rejected
-    return rejected.reason
+    series, rejected = build_series([make_day(D3, [0, 60], [0.0, 0.01]), day], 60)
+    assert series.dates == (D3,)
+    ((date, reason),) = rejected
+    assert date == day.date
+    return reason
 
 
 class TestDailyRv:
@@ -153,20 +154,19 @@ class TestRvSeries:
 class TestBuildSeries:
     def test_single_day_hand_values(self):
         day = make_day(D1, [0, 60, 120], [0.0, 0.01, 0.03])
-        report = build_series([day], 60)
-        series = report.series
+        series, rejected = build_series([day], 60)
         assert series.dates == (D1,)
         assert series.y[0] == pytest.approx(0.03)
         assert series.rv[0] == pytest.approx(0.01**2 + 0.02**2)
-        assert report.rejected == ()
+        assert rejected == ()
 
     def test_out_of_order_days_resorted(self):
         days = [
             make_day(D2, [0, 60], [0.0, 0.01]),
             make_day(D1, [0, 60], [0.0, 0.02]),
         ]
-        report = build_series(days, 60)
-        assert report.series.dates == (D1, D2)
+        series, _ = build_series(days, 60)
+        assert series.dates == (D1, D2)
 
     def test_duplicate_dates_rejected(self):
         days = [make_day(D1, [0, 60], [0.0, 0.01]), make_day(D1, [0, 60], [0.0, 0.02])]
@@ -180,10 +180,9 @@ class TestBuildSeries:
 
     def test_single_tick_day_dropped_with_reason(self):
         days = [make_day(D1, [0, 60], [0.0, 0.01]), make_day(D2, [30], [0.0])]
-        report = build_series(days, 60)
-        assert report.series.dates == (D1,)
-        assert [r.date for r in report.rejected] == [D2]
-        assert report.rejected[0].reason == "fewer than 2 grid points at 60s spacing"
+        series, rejected = build_series(days, 60)
+        assert series.dates == (D1,)
+        assert rejected == ((D2, "fewer than 2 grid points at 60s spacing"),)
 
     @pytest.mark.parametrize(
         "seconds", [[0, 60, 60, 120], [0, 120, 60]], ids=["repeated", "out_of_order"]
@@ -194,11 +193,9 @@ class TestBuildSeries:
             make_day(D2, seconds, np.linspace(0.0, 0.02, len(seconds))),
             make_day(D3, [0, 60], [0.0, -0.01]),
         ]
-        report = build_series(days, 60)
-        assert report.series.dates == (D1, D3)
-        assert [(r.date, r.reason) for r in report.rejected] == [
-            (D2, "timestamps must be strictly increasing")
-        ]
+        series, rejected = build_series(days, 60)
+        assert series.dates == (D1, D3)
+        assert rejected == ((D2, "timestamps must be strictly increasing"),)
 
     def test_all_rejected_names_each_date_once(self):
         days = [make_day(D1, [0], [0.0]), make_day(D2, [0, 60, 120], [1.0, 1.0, 1.0])]
@@ -214,11 +211,11 @@ class TestBuildSeries:
             make_day(D1, [0, 60], [0.0, 0.01]),
             make_day(D2, [0, 60, 120], [1.0, 1.0, 1.0]),
         ]
-        report = build_series(days, 60)
-        assert report.series.dates == (D1,)
-        assert len(report.rejected) == 1
-        assert report.rejected[0].date == D2
-        assert "zero realized" in report.rejected[0].reason
+        series, rejected = build_series(days, 60)
+        assert series.dates == (D1,)
+        assert len(rejected) == 1
+        assert rejected[0][0] == D2
+        assert "zero realized" in rejected[0][1]
 
     def test_sparse_day_dropped_by_coverage(self):
         # ticks only at the session edges: 2 of 10 intervals covered
@@ -226,9 +223,9 @@ class TestBuildSeries:
             make_day(D1, [0, 60], [0.0, 0.01]),
             make_day(D2, [0, 600], [0.0, 0.05]),
         ]
-        report = build_series(days, 60)
-        assert report.series.dates == (D1,)
-        assert "coverage" in report.rejected[0].reason
+        series, rejected = build_series(days, 60)
+        assert series.dates == (D1,)
+        assert "coverage" in rejected[0][1]
 
     def test_no_days_refused(self):
         with pytest.raises(RvError) as exc:
@@ -266,10 +263,10 @@ class TestBuildSeries:
             make_day(D2, [0, 600], [0.0, 0.05]),  # sparse
             make_day(D3, [0, 60, 120], [1.0, 1.0, 1.0]),  # flat
         ]
-        report = build_series(days, 60)
-        assert report.series.dates == (D1,)
+        series, _ = build_series(days, 60)
+        assert series.dates == (D1,)
         assert sampled == [D1, D2, D3]
 
     def test_open_to_close_return(self):
         day = make_day(D1, [0, 30, 60], [0.5, 0.9, 0.2])
-        assert build_series([day], 60).series.y[0] == pytest.approx(-0.3)
+        assert build_series([day], 60)[0].y[0] == pytest.approx(-0.3)
