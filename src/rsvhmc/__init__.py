@@ -7,7 +7,7 @@ from .integrators import (
     integrate,
 )
 from .gibbs import PriorConfig, gibbs_sweep
-from .hmc import ChainResult, HmcOutcome, default_init, hmc_update, run_chain
+from .hmc import ChainResult, GibbsSweep, HmcOutcome, default_init, hmc_update, run_chain
 from .synth import STUDY_N, STUDY_PARAMS, SyntheticDataset, simulate
 from .diagnostics import (
     ActEstimate,

@@ -28,7 +28,7 @@ import numpy as np
 from . import chainio, rv as rvmod
 from .diagnostics import posterior_summary, stepsize_scan
 from .gibbs import PriorConfig
-from .hmc import default_init, run_chain
+from .hmc import GibbsSweep, default_init, run_chain
 from .integrators import DEFAULT_LAMBDA, SPLITTINGS, TrajectoryConfig
 from .model import PARAM_NAMES, ModelParams
 from .synth import STUDY_N, STUDY_PARAMS, simulate
@@ -209,7 +209,7 @@ def cmd_estimate(args) -> int:
         n_burn=args.n_burn,
         n_keep=args.n_keep,
         rng=np.random.default_rng(args.seed),
-        prior=prior,
+        moves=(GibbsSweep(prior),),
         h_indices=h_indices,
         checkpoint_path=ckpt,
         checkpoint_every=args.checkpoint_every,

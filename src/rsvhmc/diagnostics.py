@@ -172,8 +172,8 @@ def stepsize_scan(
     n_warm)`` pre-warm trajectories at the ``prewarm()`` config of the grid's
     smallest step size (a fifth of it, with its step count), then ``n_warm``
     at that step size, which accepts most. Each grid point, in the given
-    order, then runs only its ``n_traj`` measured trajectories. Each phase is a ``run_chain`` at fixed theta
-    (``prior=None``) that starts from the previous phase's final path.
+    order, then runs only its ``n_traj`` measured trajectories. Each phase is a
+    ``run_chain`` with no moves and no burn-in, from the previous phase's final path.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -195,7 +195,7 @@ def stepsize_scan(
     for k, (cfg, count) in enumerate(phases):
         if count == 0:
             continue
-        res = run_chain(data, (theta, h), cfg, 0, count, rng, prior=None, h_indices=())
+        res = run_chain(data, (theta, h), cfg, 0, count, rng, moves=(), h_indices=())
         h = res.final_h
         if k < 2:
             continue

@@ -59,12 +59,12 @@ class PriorConfig:
 def _posterior_normal(
     like_mean: float,
     like_var: float,
-    prior: tuple[float, float] | None,
+    prior_mean_var: tuple[float, float] | None,
     rng: np.random.Generator,
 ) -> float:
-    if prior is None:
+    if prior_mean_var is None:
         return rng.normal(like_mean, math.sqrt(like_var))
-    m0, v0 = prior
+    m0, v0 = prior_mean_var
     prec = 1.0 / like_var + 1.0 / v0
     mean = (like_mean / like_var + m0 / v0) / prec
     return rng.normal(mean, math.sqrt(1.0 / prec))

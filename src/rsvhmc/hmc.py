@@ -92,7 +92,26 @@ class ChainResult:
     wall_time_seconds: float  # summed over every resumed piece of the run
 
 
-# burn-in iterations at fixed theta and a fifth of the step before the first sweep
+@dataclass(frozen=True)
+class GibbsSweep:
+    """The move that draws theta from its full conditionals given h."""
+
+    prior: PriorConfig
+
+    def __call__(self, h, sums, theta, rng):
+        return h, sums, gibbs_sweep(sums, theta, self.prior, rng)
+
+
+def iterate(h, sums, theta, target, cfg, moves, rng):
+    """One sampler iteration: the HMC update of h at the theta of ``target``, then each move in order."""
+    outcome = hmc_update(h, sums, target, cfg, rng)
+    h, sums = outcome.h_new, outcome.sums
+    for move in moves:
+        h, sums, theta = move(h, sums, theta, rng)
+    return outcome, h, sums, theta
+
+
+# burn-in iterations at a fifth of the step and with no moves
 _WARM_START = 20
 
 
@@ -103,21 +122,22 @@ def run_chain(
     n_burn: int,
     n_keep: int,
     rng: np.random.Generator,
-    prior: PriorConfig | None = PriorConfig(),
+    moves: tuple = (GibbsSweep(PriorConfig()),),
     h_indices: Sequence[int] = (9,),
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = 5000,
 ) -> ChainResult:
-    """Run the full sampler: one HMC path update plus one parameter sweep per iteration.
+    """Run the sampler: one ``iterate`` per iteration, recorded once kept.
 
+    Each move is callable as ``(h, sums, theta, rng) -> (h, sums, theta)``;
+    the default is one parameter sweep, and with ``moves=()`` theta stays at
+    ``init``'s. The target is rebuilt only when theta is a new object.
     The first ``min(20, n_burn)`` iterations are a warm start: the HMC update
-    alone, at fixed theta and ``cfg.prewarm()``. Without it, a start whose
+    alone, at ``cfg.prewarm()``, with no moves. Without it, a start whose
     first trajectory is rejected hands the sweep zero measurement residuals
     (``default_init`` sets h = ln RV); sigma_u2 then falls near 0 and puts
     every later trajectory past the integrator's stability limit.
 
-    With ``prior=None`` theta stays fixed at ``init``'s and the target is built
-    once: no warm start and no sweep run, nor the sweep's n >= 2 check.
     Records theta, delta_h, the accept flag and the selected h components for
     every kept iteration, and counts the divergent trajectories of every
     iteration, the warm start's included. With
@@ -129,7 +149,7 @@ def run_chain(
         raise ValueError("need n_burn >= 0 and n_keep >= 1")
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if prior is not None and data.n < 2:  # before the warm start writes a checkpoint
+    if moves and data.n < 2:  # before the warm start writes a checkpoint
         raise ValueError(f"the parameter sweep needs n >= 2, got {data.n}")
     theta, h = init
     h = model.as_path(h, data)
@@ -148,7 +168,7 @@ def run_chain(
     accepted = np.empty(n_keep, dtype=bool)
     records = {"draws": draws, "delta_h": delta_h, "accepted": accepted}
     fingerprint = _fingerprint(
-        data, init, cfg, n_burn, n_keep, prior, h_indices, rng.bit_generator.state
+        data, init, cfg, n_burn, n_keep, moves, h_indices, rng.bit_generator.state
     )
     start, n_accept, n_divergent, elapsed = 0, 0, 0, 0.0
     if checkpoint_path is not None and Path(checkpoint_path).exists():
@@ -164,20 +184,19 @@ def run_chain(
     t0 = time.perf_counter()
     h_at = np.array(h_indices, dtype=np.intp)
     total = n_burn + n_keep
-    # the path carries its sums: they give V under each new theta and feed the sweep
+    # the path carries its sums: they give V under each new theta and feed the moves
     sums = model.path_sums(h, data)
     # the warm start goes by iteration, so a resumed run replays it
-    n_warm = 0 if prior is None else min(_WARM_START, n_burn)
+    n_warm = min(_WARM_START, n_burn)
     warm_cfg = cfg.prewarm()
+    built_for = None
     for it in range(start, total):
-        if prior is not None or it == start:
-            target = model.LatentTarget(theta, data)
-        outcome = hmc_update(h, sums, target, warm_cfg if it < n_warm else cfg, rng)
-        h, sums = outcome.h_new, outcome.sums
+        if theta is not built_for:
+            target, built_for = model.LatentTarget(theta, data), theta
+        step = (warm_cfg, ()) if it < n_warm else (cfg, moves)
+        outcome, h, sums, theta = iterate(h, sums, theta, target, *step, rng)
         n_accept += int(outcome.accepted)
         n_divergent += outcome.delta_h == math.inf
-        if prior is not None and it >= n_warm:
-            theta = gibbs_sweep(sums, theta, prior, rng)
         if it >= n_burn:
             k = it - n_burn
             # in PARAM_NAMES order; a tuple of attributes is the cheapest per-draw write
@@ -214,12 +233,12 @@ def run_chain(
     )
 
 
-def _fingerprint(data, init, cfg, n_burn, n_keep, prior, h_indices, rng_state) -> str:
+def _fingerprint(data, init, cfg, n_burn, n_keep, moves, h_indices, rng_state) -> str:
     """sha256 of everything that determines the chain, the starting rng state included."""
     digest = hashlib.sha256()
     for arr in (data.y, data.ln_rv, init[1]):
         digest.update(np.asarray(arr, dtype=np.float64).tobytes())
-    settings = (init[0], cfg, n_burn, n_keep, prior, h_indices, rng_state)
+    settings = (init[0], cfg, n_burn, n_keep, moves, h_indices, rng_state)
     digest.update(repr(settings).encode())
     return digest.hexdigest()
 

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from rsvhmc import model
-from rsvhmc.hmc import HmcOutcome
+from rsvhmc.diagnostics import integrated_act
+from rsvhmc.gibbs import PriorConfig
+from rsvhmc.hmc import GibbsSweep, HmcOutcome, iterate
 from rsvhmc.integrators import Kick, TrajectoryConfig, integrate
-from rsvhmc.model import ModelParams, ObservedSeries
+from rsvhmc.model import PARAM_NAMES, ModelParams, ObservedSeries
+from rsvhmc.synth import simulate
 
 
 def random_instance(rng, n):
@@ -164,3 +167,72 @@ def leapfrog_step(h, p, step_size: float, kick: Kick):
 def minimum_norm_step(h, p, step_size: float, kick: Kick):
     """One minimum-norm step: the five-stage T-V-T-V-T splitting."""
     return integrate(h, p, TrajectoryConfig("2mni", step_size, 1), kick)
+
+
+# proper priors throughout, so theta has a prior distribution to return to
+GIR_PRIOR = PriorConfig(
+    a_eta=3.0, b_eta=0.3, a_u=3.0, b_u=0.3, mu_prior=(-0.5, 0.2), xi_prior=(0.2, 0.2)
+)
+# E[phi^2] = 1/3 under phi ~ U(-1, 1); the variances' IG(3, 0.3) prior has no
+# finite fourth moment, so no second moment of theirs has a usable se
+GIR_PRIOR_MEANS = {
+    "phi": 0.0, "mu": -0.5, "xi": 0.2, "sigma_eta2": 0.3 / 2.0, "sigma_u2": 0.3 / 2.0, "phi^2": 1.0 / 3.0,
+}
+
+
+def getting_it_right(seed, n_iter):
+    """Theta draws of the successive-conditional simulator (Geweke, JASA 99
+    (2004) 799; Grosse & Duvenaud, arXiv:1412.5218) under ``GIR_PRIOR``.
+
+    Each step is one sampler ``iterate`` on (h, theta), 2MNI with l = 1 and dt
+    = 0.2, then a fresh draw of the data given (h, theta). If every transition
+    targets its exact conditional, theta stays prior-distributed. theta starts
+    from the prior, drawn from the rng seeded with ``seed``; h starts from
+    ``simulate(theta, 8, seed=seed + 1)``: a series of 8.
+    """
+    n = 8
+    rng = np.random.default_rng(seed)
+    theta = ModelParams(
+        phi=rng.uniform(-1.0, 1.0),
+        mu=rng.normal(-0.5, math.sqrt(0.2)),
+        xi=rng.normal(0.2, math.sqrt(0.2)),
+        sigma_eta2=0.3 / rng.gamma(3.0),
+        sigma_u2=0.3 / rng.gamma(3.0),
+    )
+
+    def forward_data(h, theta):
+        y = np.exp(h / 2.0) * rng.standard_normal(n)
+        ln_rv = theta.xi + h + rng.standard_normal(n) * math.sqrt(theta.sigma_u2)
+        return ObservedSeries(y=y, ln_rv=ln_rv)
+
+    h = simulate(theta, n, seed=seed + 1).h_true
+    data = forward_data(h, theta)
+    cfg = TrajectoryConfig.from_length("2mni", 1.0, 0.2)
+    moves = (GibbsSweep(GIR_PRIOR),)
+    draws = np.empty((len(PARAM_NAMES), n_iter))
+    for it in range(n_iter):
+        target = model.LatentTarget(theta, data)
+        _, h, _, theta = iterate(h, model.path_sums(h, data), theta, target, cfg, moves, rng)
+        try:
+            data = forward_data(h, theta)
+        except ValueError:
+            pass  # overflow at an extreme state: keep the previous data
+        draws[:, it] = [getattr(theta, name) for name in PARAM_NAMES]
+    return dict(zip(PARAM_NAMES, draws))
+
+
+def getting_it_right_stats(draws):
+    """Criterion 7's statistic: ``{name: (|mean - prior value|, se)}`` for each
+    parameter and for phi^2. The se comes from the ACT, plus its error, and the
+    length of every 10th draw; a refused ACT gives se = nan, which fails
+    ``dev <= k * se`` at any k."""
+    out = {}
+    for name, series in {**draws, "phi^2": draws["phi"] ** 2}.items():
+        sub = series[::10]
+        try:
+            est = integrated_act(sub)
+            se = float(np.std(sub, ddof=1)) * math.sqrt((est.two_tau_int + est.error) / len(sub))
+        except ValueError:
+            se = math.nan
+        out[name] = (abs(float(np.mean(series)) - GIR_PRIOR_MEANS[name]), se)
+    return out

@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
+import rsvhmc.gibbs
 from rsvhmc.cli import main as cli_main
 from rsvhmc.diagnostics import integrated_act, rms_dh, stepsize_scan
 from rsvhmc.gibbs import (
     PriorConfig,
-    gibbs_sweep,
     sample_mu,
     sample_phi,
     sample_sigma_eta2,
@@ -27,8 +27,6 @@ from rsvhmc.integrators import SPLITTINGS, TrajectoryConfig, integrate
 from rsvhmc.model import (
     PARAM_NAMES,
     LatentTarget,
-    ModelParams,
-    ObservedSeries,
     grad_potential,
     path_sums,
     potential,
@@ -36,11 +34,26 @@ from rsvhmc.model import (
 from rsvhmc.rv import hansen_lunde_c
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
-from conftest import fd_gradient, hamiltonian, random_instance
+from conftest import fd_gradient, getting_it_right, getting_it_right_stats, hamiltonian, random_instance
 from test_gibbs import ks_against_grid
 
 # minutes of chains and scans: `pytest -m "not slow"` leaves this module out
 pytestmark = pytest.mark.slow
+
+# wrong sweeps that criterion 7's statistic must refuse: (gibbs function, replacement)
+PLANTED_BUGS = {
+    # sigma_eta2's inverse-gamma shape one too large
+    "sigma_eta2_shape": (
+        "sample_sigma_eta2",
+        lambda s, phi, mu, prior, rng: (prior.b_eta + 0.5 * s.transition_ss(phi, mu))
+        / rng.gamma(s.n / 2.0 + prior.a_eta + 1.0),
+    ),
+    # xi drawn as under the flat prior although a Gaussian one is set
+    "xi_prior_dropped": (
+        "sample_xi",
+        lambda s, sigma_u2, prior, rng: sample_xi(s, sigma_u2, dataclasses.replace(prior, xi_prior=None), rng),
+    ),
+}
 
 PAPER_MEANS = {"phi": 0.926, "mu": -0.97, "xi": 0.31, "sigma_eta2": 0.097, "sigma_u2": 0.203}
 PAPER_SDS = {"phi": 0.007, "mu": 0.10, "xi": 0.03, "sigma_eta2": 0.006, "sigma_u2": 0.010}
@@ -327,65 +340,29 @@ class TestCriterion7Samplers:
         )
 
     def test_getting_it_right(self):
-        # successive-conditional simulator: alternate one posterior sweep on
-        # (h, theta) with a fresh draw of the data given (h, theta); if every
-        # transition targets its exact conditional, theta stays prior-distributed
-        n = 8
-        n_iter = 50_000
-        prior = PriorConfig(
-            a_eta=3.0, b_eta=0.3, a_u=3.0, b_u=0.3,
-            mu_prior=(-0.5, 0.2), xi_prior=(0.2, 0.2),
-        )
-        rng = np.random.default_rng(71)
-        theta = ModelParams(
-            phi=rng.uniform(-1.0, 1.0),
-            mu=rng.normal(-0.5, math.sqrt(0.2)),
-            xi=rng.normal(0.2, math.sqrt(0.2)),
-            sigma_eta2=0.3 / rng.gamma(3.0),
-            sigma_u2=0.3 / rng.gamma(3.0),
-        )
-
-        def forward_data(h, theta):
-            y = np.exp(h / 2.0) * rng.standard_normal(n)
-            ln_rv = theta.xi + h + rng.standard_normal(n) * math.sqrt(theta.sigma_u2)
-            return y, ln_rv
-
-        h = simulate(theta, n, seed=72).h_true
-        y, ln_rv = forward_data(h, theta)
-        cfg = TrajectoryConfig.from_length("2mni", 1.0, 0.2)
-        draws = {name: np.empty(n_iter) for name in PARAM_NAMES}
-        for it in range(n_iter):
-            data = ObservedSeries(y=y, ln_rv=ln_rv)
-            target = LatentTarget(theta, data)
-            out = hmc_update(h, path_sums(h, data), target, cfg, rng)
-            h = out.h_new
-            theta = gibbs_sweep(out.sums, theta, prior, rng)
-            try:
-                y_new, ln_rv_new = forward_data(h, theta)
-                ObservedSeries(y=y_new, ln_rv=ln_rv_new)
-                y, ln_rv = y_new, ln_rv_new
-            except ValueError:
-                pass  # overflow at an extreme state: keep the previous data
-            for name, value in theta.as_dict().items():
-                draws[name][it] = value
-
-        prior_means = {
-            "phi": 0.0, "mu": -0.5, "xi": 0.2,
-            "sigma_eta2": 0.3 / 2.0, "sigma_u2": 0.3 / 2.0,
-        }
-        ok = True
-        details = []
-        thin = 10  # the se comes from the ACT and length of every 10th draw
-        for name, series in draws.items():
-            sub = series[::thin]
-            est = integrated_act(sub)
-            se = float(np.std(sub, ddof=1)) * math.sqrt(
-                (est.two_tau_int + est.error) / len(sub)
-            )
-            dev = abs(float(np.mean(series)) - prior_means[name])
-            ok = ok and dev <= 3 * se
-            details.append(f"{name}: |mean-prior|={dev:.4f} (3se={3 * se:.4f})")
+        stats = getting_it_right_stats(getting_it_right(71, 50_000))
+        ok = all(dev <= 3 * se for dev, se in stats.values())
+        details = [f"{name}: |mean-prior|={dev:.4f} (3se={3 * se:.4f})" for name, (dev, se) in stats.items()]
         report("7 (getting it right)", ok, "; ".join(details))
+
+    # 2000 iterations: the shortest run tried (1000, 1500, 2000) at which the
+    # sweep as written passed at every seed used while choosing it; both bugs
+    # were caught there at each of them
+    @pytest.mark.parametrize("seed", [601, 611, 621])
+    @pytest.mark.parametrize(
+        "bug,caught_by",
+        [(None, None), ("sigma_eta2_shape", "sigma_eta2"), ("xi_prior_dropped", "xi")],
+        ids=["none", "sigma_eta2", "xi"],
+    )
+    def test_planted_bug_is_caught(self, monkeypatch, bug, caught_by, seed):
+        if bug is not None:
+            monkeypatch.setattr(rsvhmc.gibbs, *PLANTED_BUGS[bug])
+        stats = getting_it_right_stats(getting_it_right(seed, 2000))
+        failed = [name for name, (dev, se) in stats.items() if not dev <= 3 * se]
+        if bug is None:
+            assert failed == []
+        else:
+            assert caught_by in failed
 
 
 class TestCriterion8HansenLunde:

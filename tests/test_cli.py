@@ -366,7 +366,10 @@ class TestResume:
 
     @pytest.mark.parametrize(
         "change",
-        [("--seed", "78"), ("--step-size", "0.25"), ("--record-h", "10,20"), ("--n-keep", "201")],
+        [
+            ("--seed", "78"), ("--step-size", "0.25"), ("--record-h", "10,20"), ("--n-keep", "201"),
+            ("--a-eta", "3.0"),
+        ],
     )
     def test_changed_flags_refused(self, aborted, change, capsys):
         data, out = aborted

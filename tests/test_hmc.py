@@ -9,13 +9,14 @@ import rsvhmc.hmc
 import rsvhmc.model
 from rsvhmc.diagnostics import stepsize_scan
 from rsvhmc.gibbs import PriorConfig, gibbs_sweep
-from rsvhmc.hmc import default_init, hmc_update, run_chain
+from rsvhmc.hmc import GibbsSweep, default_init, hmc_update, run_chain
 from rsvhmc.integrators import SPLITTINGS, TrajectoryConfig
 from rsvhmc.model import PARAM_NAMES, LatentTarget, ObservedSeries, path_sums
 from rsvhmc.synth import STUDY_PARAMS, simulate
 
 from conftest import hmc_update_recomputing, scheme_id
 
+SWEEP = (GibbsSweep(PriorConfig()),)  # run_chain's default moves
 
 def small_dataset(n=200, seed=17):
     return simulate(STUDY_PARAMS, n, seed=seed)
@@ -267,7 +268,7 @@ class TestRunChain:
         with pytest.raises(ValueError, match="n >= 2"):
             run_chain(
                 one, default_init(one), cfg, 0, 5, np.random.default_rng(0),
-                prior=PriorConfig(), h_indices=(0,), checkpoint_path=ckpt, checkpoint_every=1,
+                moves=SWEEP, h_indices=(0,), checkpoint_path=ckpt, checkpoint_every=1,
             )
         assert not list(tmp_path.iterdir())
 
@@ -297,11 +298,11 @@ class TestWarmStart:
         assert 0.1 <= float(np.mean(res.draws["sigma_u2"])) <= 0.3
 
     @pytest.mark.parametrize(
-        "n_burn,prior",
-        [(0, PriorConfig()), (7, PriorConfig()), (20, PriorConfig()), (50, PriorConfig()), (30, None)],
+        "n_burn,moves",
+        [(0, SWEEP), (7, SWEEP), (20, SWEEP), (50, SWEEP), (30, ())],
         ids=["0", "7", "20", "50", "fixed_theta"],
     )
-    def test_warm_start_runs_no_sweep_at_a_fifth_of_the_step(self, monkeypatch, n_burn, prior):
+    def test_warm_start_runs_no_sweep_at_a_fifth_of_the_step(self, monkeypatch, n_burn, moves):
         ds = small_dataset(n=60)
         cfg = TrajectoryConfig.from_length("2mni", 1.0, 0.2)
         steps, sweeps = [], []
@@ -317,11 +318,11 @@ class TestWarmStart:
 
         monkeypatch.setattr(rsvhmc.hmc, "hmc_update", recording_update)
         monkeypatch.setattr(rsvhmc.hmc, "gibbs_sweep", counting_sweep)
-        run_chain(ds.data, default_init(ds.data), cfg, n_burn, 30, np.random.default_rng(0), prior=prior)
-        # at fixed theta there is neither a warm start nor a sweep
-        n_warm = 0 if prior is None else min(20, n_burn)
+        run_chain(ds.data, default_init(ds.data), cfg, n_burn, 30, np.random.default_rng(0), moves=moves)
+        # the warm start is the same with or without moves
+        n_warm = min(20, n_burn)
         assert steps == [cfg.step_size / 5.0] * n_warm + [cfg.step_size] * (n_burn + 30 - n_warm)
-        assert len(sweeps) == (0 if prior is None else n_burn + 30 - n_warm)
+        assert len(sweeps) == (n_burn + 30 - n_warm) * len(moves)
 
 
 class TestResume:
@@ -607,7 +608,9 @@ class TestOperationCount:
         cfg = TrajectoryConfig.from_length("2lfi", 1.0, 0.2)
         run_chain(ds.data, default_init(ds.data), cfg, 7, 11, np.random.default_rng(4))
         assert len(updates) == 7 + 11
-        assert len(builds) == 7 + 11
+        # one for the 7 warm-start iterations, then one per new theta: each of
+        # the 11 sweeps but the last hands the next iteration a new theta
+        assert len(builds) == 1 + (11 - 1)
 
     def test_run_chain_takes_each_path_sums_once(self, monkeypatch):
         # the starting path, then each trajectory's end; V comes from those sums
